@@ -40,6 +40,17 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--petri", action="store_true", help="input is a safe Petri net")
 
 
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type for ``--precision``: a positive rational such as 1e-12 or 1/1000."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracesys",
@@ -54,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full combinatorial and measure analysis")
     _add_input_args(p)
-    p.add_argument("--precision", default="1e-12", help="root interval width")
+    p.add_argument(
+        "--precision", type=_positive_fraction, default="1e-12", help="root interval width"
+    )
     p.add_argument("--series-order", type=int, default=10)
     p.add_argument("--expect-irreducible", action="store_true")
     p.add_argument("--json", action="store_true", help="print the full JSON report")
@@ -111,7 +124,7 @@ def _cmd_check(system: ConcurrentSystem, args) -> int:
 
 def _cmd_analyze(system: ConcurrentSystem, args) -> int:
     doc = report_mod.analyze_report(
-        system, precision=Fraction(args.precision), series_order=args.series_order
+        system, precision=args.precision, series_order=args.series_order
     )
     if args.json:
         print(json.dumps(doc, indent=2))

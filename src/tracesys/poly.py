@@ -2,16 +2,17 @@
 
 Polynomials are tuples of coefficients in ascending order of degree,
 normalized so the last entry is non-zero; the zero polynomial is ``()``.
-Coefficients are ints wherever possible, Fractions where division is
-involved (Sturm chains).  Everything here is exact; no floats.
+Coefficients are integers: division is exact (Bareiss quotients) or
+replaced by pseudo-remainders (Sturm chains, gcd), and the sign at a
+rational point is decided by exact integer evaluation.  Everything here
+is exact; no floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
-Poly = tuple  # tuple of int or Fraction coefficients, ascending
+Poly = tuple  # tuple of int coefficients, ascending
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
@@ -78,38 +79,42 @@ def derivative(p: Poly) -> Poly:
     return normalize(i * c for i, c in enumerate(p) if i > 0)
 
 
-def divmod_rational(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Long division over the rationals; returns (quotient, remainder)."""
+def div_exact(p: Poly, q: Poly) -> Poly:
+    """Exact division in Z[z]; raises if q does not divide p over the integers.
+
+    Long division from the top coefficient: each quotient coefficient is an
+    integer ``divmod`` by the leading coefficient of q.
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = Fraction(q[-1])
-    while len(rem) >= len(q) and normalize(rem):
-        rem_n = normalize(rem)
-        if len(rem_n) < len(q):
-            break
-        shift = len(rem_n) - len(q)
-        factor = Fraction(rem_n[-1]) / lead
-        quo[shift] = factor
-        rem = list(rem_n)
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-    return normalize(quo), normalize(rem)
-
-
-def div_exact(p: Poly, q: Poly) -> Poly:
-    """Exact division in Z[z]; raises if q does not divide p over the integers."""
-    quo, rem = divmod_rational(p, q)
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in quo:
-        c = Fraction(c)
-        if c.denominator != 1:
+    lead, dq = q[-1], len(q) - 1
+    rem = list(p)
+    quo = [0] * max(len(p) - dq, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[shift + dq], lead)
+        if r:
             raise ArithmeticError("quotient is not an integer polynomial")
-        out.append(int(c))
-    return normalize(out)
+        if c:
+            quo[shift] = c
+            for i, b in enumerate(q):
+                rem[shift + i] -= c * b
+    if any(rem[:dq]):
+        raise ArithmeticError("inexact polynomial division")
+    return normalize(quo)
+
+
+def bareiss_update(akk: Poly, aij: Poly, aik: Poly, akj: Poly, prev: Poly) -> Poly:
+    """One fraction-free elimination entry, (akk·aij − aik·akj) / prev, exact in Z[z]."""
+    out = [0] * max(len(akk) + len(aij) - 1, len(aik) + len(akj) - 1, 0)
+    for i, a in enumerate(akk):
+        if a:
+            for j, b in enumerate(aij):
+                out[i + j] += a * b
+    for i, a in enumerate(aik):
+        if a:
+            for j, b in enumerate(akj):
+                out[i + j] -= a * b
+    return div_exact(normalize(out), prev)
 
 
 def content(p: Poly) -> int:
@@ -119,31 +124,48 @@ def content(p: Poly) -> int:
     return g
 
 
+def _divide_content(p: Poly) -> Poly:
+    """p over its (positive) content; every sign is kept."""
+    g = content(p)
+    return tuple(c // g for c in p) if g > 1 else p
+
+
 def primitive(p: Poly) -> Poly:
     """Divide out the integer content and make the leading coefficient positive."""
     if not p:
         return ZERO
-    g = content(p)
-    out = tuple(int(c) // g for c in p)
+    out = _divide_content(p)
     if out[-1] < 0:
         out = neg(out)
     return out
+
+
+def pseudo_rem(p: Poly, q: Poly) -> Poly:
+    """|lc(q)|^δ · (p mod q) with δ = deg p − deg q + 1, over the integers.
+
+    The factor is positive, so the result has the signs of the rational
+    remainder at every point.
+    """
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead, dq = q[-1], len(q) - 1
+    scale_by, sign = abs(lead), (1 if lead > 0 else -1)
+    rem = list(p)
+    for top in range(len(rem) - 1, dq - 1, -1):
+        c = sign * rem[top]
+        rem = [scale_by * x for x in rem[:top]]
+        if c:
+            for i, b in enumerate(q[:-1]):
+                rem[top - dq + i] -= c * b
+    return normalize(rem)
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
     """Primitive gcd in Z[z], leading coefficient positive; gcd(0, q) = primitive(q)."""
     a, b = p, q
     while b:
-        _, r = divmod_rational(a, b)
-        a, b = b, r
-    if not a:
-        return ZERO
-    # clear denominators before taking the primitive part
-    denom = 1
-    for c in a:
-        denom = denom * Fraction(c).denominator // int_gcd(denom, Fraction(c).denominator)
-    ints = tuple(int(Fraction(c) * denom) for c in a)
-    return primitive(ints)
+        a, b = b, _divide_content(pseudo_rem(a, b))
+    return primitive(a)
 
 
 def square_free_part(p: Poly) -> Poly:
@@ -162,25 +184,39 @@ def square_free_part(p: Poly) -> Poly:
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of a square-free polynomial, over the rationals."""
-    chain = [tuple(Fraction(c) for c in p)]
-    d = derivative(chain[0])
+    """Sturm sequence of a square-free integer polynomial.
+
+    Each member is a positive integer multiple of the classical rational
+    member (negated pseudo-remainders with the content divided out), so
+    every sign sequence, and hence every root count, is the classical one.
+    """
+    chain = [tuple(p)]
+    d = derivative(p)
     if d:
-        chain.append(d)
+        chain.append(_divide_content(d))
         while True:
-            _, r = divmod_rational(chain[-2], chain[-1])
+            r = pseudo_rem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(neg(r))
+            chain.append(neg(_divide_content(r)))
     return chain
 
 
+def sign_at(p: Poly, x) -> int:
+    """Sign of p at the rational x = n/d, by integer Horner on Σ cᵢ nⁱ d^(deg−i).
+
+    That sum is d^deg · p(x) with d > 0, so it has the sign of p(x).
+    """
+    n, d = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
 def sign_variations(chain: list[Poly], x) -> int:
-    signs = []
-    for q in chain:
-        v = evaluate(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (sign_at(q, x) for q in chain) if s]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 

@@ -96,8 +96,7 @@ def determinant(pm: PolynomialMatrix) -> poly.Poly:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = poly.sub(poly.mul(m[k][k], m[i][j]), poly.mul(m[i][k], m[k][j]))
-                m[i][j] = poly.div_exact(num, prev)
+                m[i][j] = poly.bareiss_update(m[k][k], m[i][j], m[i][k], m[k][j], prev)
             m[i][k] = poly.ZERO
         prev = m[k][k]
     return m[n - 1][n - 1] if sign > 0 else poly.neg(m[n - 1][n - 1])
@@ -159,27 +158,31 @@ def _isolate_smallest_unit_root(
     """
     chain = poly.sturm_chain(sf)
     lo, hi = Fraction(0), Fraction(1)
-    if poly.count_roots(chain, lo, hi) == 0:
+    count = poly.count_roots(chain, lo, hi)
+    if count == 0:
         return None
-    # invariant: the smallest root lies in (lo, hi] and lo is not a root
+    # invariant: the smallest root lies in (lo, hi], lo is not a root, and
+    # (lo, hi] holds ``count`` roots
     while True:
-        count = poly.count_roots(chain, lo, hi)
         if count == 1:
-            if poly.evaluate(sf, hi) == 0:
+            if poly.sign_at(sf, hi) == 0:
                 return hi, hi
             if hi - lo <= precision:
                 return lo, hi
         mid = (lo + hi) / 2
-        if poly.count_roots(chain, lo, mid) >= 1:
-            hi = mid
+        left = poly.count_roots(chain, lo, mid)
+        if left >= 1:
+            hi, count = mid, left
         else:
-            lo = mid
+            lo = mid  # (mid, hi] keeps all ``count`` roots
 
 
 def root_from_theta(
     theta: poly.Poly, precision: Fraction = DEFAULT_PRECISION
 ) -> CharacteristicRoot | None:
     """Isolate the smallest positive root of theta in (0, 1]; None if absent."""
+    if precision <= 0:
+        raise TraceSysError(f"root precision must be positive, got {precision}")
     sf = poly.square_free_part(theta)
     iso = _isolate_smallest_unit_root(sf, precision)
     if iso is None:
@@ -195,7 +198,7 @@ def refine_root(root: CharacteristicRoot, width: Fraction) -> CharacteristicRoot
     chain = root.chain()
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if poly.evaluate(root.square_free, mid) == 0:
+        if poly.sign_at(root.square_free, mid) == 0:
             lo = hi = mid
             break
         if poly.count_roots(chain, lo, mid) == 1:
@@ -223,7 +226,7 @@ def compare_roots(
                 return -1, a, b
             if a.lo >= b.hi:
                 return 1, a, b
-            if poly.evaluate(b.square_free, a.lo) == 0:
+            if poly.sign_at(b.square_free, a.lo) == 0:
                 return 0, a, b
             b = _refine_step(b, exclude=a.lo)
             continue
@@ -256,7 +259,7 @@ def _refine_step(
     if exclude is not None and root.lo < exclude < root.hi:
         mid = exclude
     chain = root.chain()
-    if poly.evaluate(root.square_free, mid) == 0:
+    if poly.sign_at(root.square_free, mid) == 0:
         return CharacteristicRoot(root.theta, root.square_free, mid, mid, _chain=chain)
     if poly.count_roots(chain, root.lo, mid) == 1:
         return CharacteristicRoot(root.theta, root.square_free, root.lo, mid, _chain=chain)

@@ -65,6 +65,21 @@ def test_analyze_json(e1_file, capsys):
     assert doc["inversion"]["ok"] is True
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "1/0"])
+def test_analyze_bad_precision_is_usage_error(e1_file, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", e1_file, f"--precision={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --precision" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_precision_accepts_fraction(e1_file, capsys):
+    assert main(["analyze", e1_file, "--json", "--precision", "1/1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["root"]["exact"] is True
+
+
 def test_analyze_human_summary(e1_file, capsys):
     assert main(["analyze", e1_file]) == 0
     out = capsys.readouterr().out

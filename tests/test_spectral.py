@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,14 @@ from tracesys.errors import (
     NoRootInUnitInterval,
     NotAccessible,
     SingularAtT,
+    TraceSysError,
     TrivialSystem,
 )
+from tracesys.fixtures import ALL_SYSTEMS
 from tracesys.graphs import build_adsc, build_dsc, classify_nodes
 from tracesys.monoid import TraceMonoid
 from tracesys.spectral import (
+    PolynomialMatrix,
     characteristic_root,
     compare_roots,
     component_radii,
@@ -76,6 +80,60 @@ def test_determinant_examples(e1):
     assert determinant(one_by_one) == (1, -3, 1)
 
 
+def _fraction_determinant(m) -> Fraction:
+    """Reference: Gaussian elimination over the rationals with row swaps."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _random_points(rng, count=5):
+    return [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+def test_determinant_matches_rational_elimination(name):
+    system = ALL_SYSTEMS[name]()
+    rng = random.Random(name)
+    for sub in [system] + [system.restrict(a) for a in system.monoid.letters]:
+        pm = mobius_matrix(sub)
+        theta = determinant(pm)
+        for t in _random_points(rng):
+            assert poly.evaluate(theta, t) == _fraction_determinant(pm.evaluate(t))
+
+
+def test_determinant_generic_matrices_with_row_swaps():
+    # zero pivots and non-unit constant terms exercise the swap branch and
+    # exact division by arbitrary previous pivots
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = tuple(
+            tuple(
+                poly.normalize(rng.randint(-3, 3) for _ in range(rng.randint(0, 3)))
+                if rng.random() < 0.7 else poly.ZERO
+                for _ in range(n)
+            )
+            for _ in range(n)
+        )
+        pm = PolynomialMatrix(tuple(f"s{i}" for i in range(n)), rows)
+        theta = determinant(pm)
+        for t in _random_points(rng, 3):
+            assert poly.evaluate(theta, t) == _fraction_determinant(pm.evaluate(t))
+
+
 # ------------------------------------------------------------ characteristic root
 
 def test_root_e1_exact(e1):
@@ -113,6 +171,12 @@ def test_root_refusals():
         root = root_from_theta((1, 1))  # no positive root
         if root is None:
             raise NoRootInUnitInterval("nothing in (0, 1]")
+
+
+@pytest.mark.parametrize("precision", [0, -1, Fraction(-1, 10**12)])
+def test_root_rejects_non_positive_precision(precision):
+    with pytest.raises(TraceSysError, match="precision"):
+        root_from_theta((1, -3, 1), precision)
 
 
 def test_root_isolation_sign_change(canonical_abc):
