@@ -2,10 +2,20 @@
 
 Public surface: build a :class:`TraceMonoid` and a :class:`ConcurrentSystem`
 (or parse one from text / a safe Petri net), then analyze it with the
-functions re-exported here.  Everything is immutable after construction
-and safe to share across threads.
+functions re-exported here.
+
+Monoids and systems are immutable after construction.  What is derived
+from a system (M(z), theta, the root, the labelled graphs, the SCC radii,
+the measure) is computed on first use and kept in the system's
+:class:`Analysis` for as long as some caller holds it
+(``Analysis.of(system)``); while it is held, every function that takes the
+system reads from it, so nothing is computed twice.  The objects it hands
+out are shared and must be treated as read-only.  It takes no lock:
+threads that first ask for the same quantity at once may each compute it,
+and each gets a complete, equal result.
 """
 
+from .analysis import Analysis
 from .errors import TraceSysError
 from .graphs import (
     StateCliqueGraph,
@@ -52,6 +62,7 @@ from .system import ConcurrentSystem, SystemClassification
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "Clique",
     "CharacteristicRoot",
     "ConcurrentSystem",

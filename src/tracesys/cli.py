@@ -16,8 +16,9 @@ from . import dot as dot_mod
 from . import measure as measure_mod
 from . import report as report_mod
 from . import sampling
+from .analysis import Analysis
 from .errors import TraceSysError
-from .graphs import build_adsc, build_dsc, classify_nodes
+from .oracle import DEFAULT_CAP
 from .petri import parse_petri, petri_to_system
 from .specfile import parse_system
 from .system import ConcurrentSystem
@@ -51,6 +52,25 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (no upper bound when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}: {text!r}")
+        return value
+
+    return parse
+
+
+_non_negative_int = _int_in(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracesys",
@@ -68,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--precision", type=_positive_fraction, default="1e-12", help="root interval width"
     )
-    p.add_argument("--series-order", type=int, default=10)
+    p.add_argument("--series-order", type=_non_negative_int, default=10)
     p.add_argument("--expect-irreducible", action="store_true")
     p.add_argument("--json", action="store_true", help="print the full JSON report")
 
@@ -76,15 +96,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--mode", choices=["mcsc", "uniform"], default="mcsc")
     p.add_argument("--start", help="start state (default: base state)")
-    p.add_argument("--steps", type=int, default=20, help="mcsc: number of cliques")
-    p.add_argument("--length", type=int, default=10, help="uniform: execution length")
-    p.add_argument("--count", type=int, default=1, help="number of samples")
+    p.add_argument(
+        "--steps", type=_non_negative_int, default=20, help="mcsc: number of cliques"
+    )
+    p.add_argument(
+        "--length", type=_non_negative_int, default=10, help="uniform: execution length"
+    )
+    p.add_argument("--count", type=_non_negative_int, default=1, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force cross-check of all counts")
     _add_input_args(p)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument(
+        "--max-len",
+        type=_int_in(0, DEFAULT_CAP),
+        default=DEFAULT_CAP,
+        help=f"longest execution enumerated (at most {DEFAULT_CAP})",
+    )
 
     p = sub.add_parser("export-dot", help="graphviz rendering")
     _add_input_args(p)
@@ -212,19 +241,14 @@ def _cmd_oracle(system: ConcurrentSystem, args) -> int:
 
 
 def _cmd_export_dot(system: ConcurrentSystem, args) -> int:
+    analysis = Analysis.of(system)
     if args.graph == "states":
         text = dot_mod.dot_states(system)
+    elif args.graph == "condensation":
+        text = dot_mod.dot_condensation(analysis.dsc)
     else:
-        graph = build_dsc(system) if args.graph in ("dsc", "condensation") else build_adsc(system)
-        if args.graph == "condensation":
-            text = dot_mod.dot_condensation(graph)
-        else:
-            if graph.kind == "adsc":
-                dsc = build_dsc(system)
-                classify_nodes(dsc)
-                pair = {n: l for n, l in zip(dsc.nodes, dsc.labels)}
-                graph.labels = tuple(pair[(s, c)] for s, c, _i in graph.nodes)
-            text = dot_mod.dot_state_clique_graph(graph)
+        graph = analysis.dsc if args.graph == "dsc" else analysis.adsc
+        text = dot_mod.dot_state_clique_graph(graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -242,6 +266,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except TraceSysError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    start = getattr(args, "start", None)
+    if start is not None and start not in system.states:
+        print(f"error: unknown state {start!r}", file=sys.stderr)
         return EXIT_INPUT
 
     handler = {

@@ -9,6 +9,7 @@ letters instead of cliques.  Path counts use Python big integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import TraceSysError
 from .monoid import Clique
@@ -128,8 +129,14 @@ def is_acyclic(succ: Adjacency) -> bool:
 class StateCliqueGraph:
     """Plain ("dsc") or augmented ("adsc") digraph of states-and-cliques.
 
-    ``labels`` holds the positive flags once :func:`classify_nodes` ran;
-    kinds ending in "+" denote the induced positive subgraph.
+    dsc nodes are (state, clique) pairs, adsc nodes (state, clique, i)
+    triples; ``succ`` lists the successors of each node by index.
+    ``labels`` holds one positive flag per node, or None while unlabelled:
+    :func:`classify_nodes` fills it on a dsc, and :func:`build_adsc` copies
+    it from the dsc it unfolds.  Kinds ending in "+" denote the induced
+    positive subgraph.  The condensation is computed once on first use.
+    Graphs handed out by :class:`~tracesys.analysis.Analysis` come labelled
+    and are shared: treat them as read-only.
     """
 
     kind: str
@@ -176,41 +183,48 @@ class StateCliqueGraph:
 
 def build_dsc(system: ConcurrentSystem) -> StateCliqueGraph:
     """Nodes (state, clique) for enabled non-empty cliques; arcs follow the
-    action and the clique normality relation."""
-    nodes: list[tuple[str, Clique]] = []
-    for s in system.states:
-        for c in system.enabled_cliques(s):
-            nodes.append((s, c))
+    action and the clique normality relation.
+
+    A successor clique d of c must lie inside the dependence closure of c
+    (every letter of d depends on some letter of c), one mask test per
+    candidate.
+    """
+    monoid = system.monoid
+    enabled = {s: system.enabled_cliques(s) for s in system.states}
+    nodes = [(s, c) for s in system.states for c in enabled[s]]
     index = {node: i for i, node in enumerate(nodes)}
+    heads = {s: [(d.mask, index[(s, d)]) for d in enabled[s]] for s in system.states}
     succ = []
     for s, c in nodes:
+        outside = ~monoid.dependence_mask(c)
         t = system.clique_target(s, c)
-        out = [
-            index[(t, d)]
-            for d in system.enabled_cliques(t)
-            if system.monoid.normal_step(c, d)
-        ]
-        succ.append(tuple(out))
+        succ.append(tuple(i for mask, i in heads[t] if not mask & outside))
     return StateCliqueGraph("dsc", system, tuple(nodes), tuple(succ))
 
 
-def build_adsc(system: ConcurrentSystem) -> StateCliqueGraph:
-    """Unfold every (state, clique) node into a chain of |clique| triples."""
-    dsc = build_dsc(system)
-    nodes: list[tuple[str, Clique, int]] = []
-    first = {}
-    last = {}
-    for s, c in dsc.nodes:
-        first[(s, c)] = len(nodes)
-        for i in range(1, c.size + 1):
-            nodes.append((s, c, i))
-        last[(s, c)] = len(nodes) - 1
+def build_adsc(
+    system: ConcurrentSystem, dsc: StateCliqueGraph | None = None
+) -> StateCliqueGraph:
+    """Unfold every (state, clique) node into a chain of |clique| triples.
+
+    Unfolds ``dsc`` when given (a fresh one otherwise); its labels, if any,
+    carry over to every triple of a node.
+    """
+    if dsc is None:
+        dsc = build_dsc(system)
+    nodes = tuple((s, c, i) for s, c in dsc.nodes for i in range(1, c.size + 1))
+    first = [0, *accumulate(c.size for _s, c in dsc.nodes)]  # each node's first triple
     succ: list[tuple[int, ...]] = []
-    for s, c in dsc.nodes:
+    for v, (s, c) in enumerate(dsc.nodes):
         for i in range(1, c.size):
-            succ.append((first[(s, c)] + i,))
-        succ.append(tuple(first[dsc.nodes[w]] for w in dsc.succ[dsc.index[(s, c)]]))
-    return StateCliqueGraph("adsc", system, tuple(nodes), tuple(succ))
+            succ.append((first[v] + i,))
+        succ.append(tuple(first[w] for w in dsc.succ[v]))
+    labels = None
+    if dsc.labels is not None:
+        labels = tuple(
+            pos for (_s, c), pos in zip(dsc.nodes, dsc.labels) for _i in range(c.size)
+        )
+    return StateCliqueGraph("adsc", system, nodes, tuple(succ), labels)
 
 
 def classify_nodes(graph: StateCliqueGraph) -> tuple[bool, ...]:

@@ -19,18 +19,10 @@ from .errors import (
     CrossCheckFailure,
     KernelDimensionNotOne,
     NonPositiveKernelVector,
-    NotIrreducible,
 )
-from .graphs import StateCliqueGraph, build_adsc, build_dsc, classify_nodes
+from .graphs import StateCliqueGraph
 from .monoid import Clique
-from .spectral import (
-    DEFAULT_PRECISION,
-    CharacteristicRoot,
-    characteristic_root,
-    component_radii,
-    growth_eval,
-    mobius_matrix,
-)
+from .spectral import DEFAULT_PRECISION, CharacteristicRoot, growth_eval, radii_report
 from .system import ConcurrentSystem
 
 ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
@@ -86,9 +78,11 @@ def kernel_cocycle(
     The cocycle is Gamma(a, b) = u_b / u_a.  Cross-checked against the
     growth-series ratio just below the root, the limit that defines it.
     """
+    from .analysis import Analysis
+
     mid = root.midpoint
     m = np.array(
-        [[float(v) for v in row] for row in mobius_matrix(system).evaluate(mid)]
+        [[float(v) for v in row] for row in Analysis.of(system).mobius.evaluate(mid)]
     )
     u = _kernel_vector_full_pivot(m)
     base = system.state_index(system.base_state)
@@ -261,30 +255,14 @@ class UniformMeasure:
 def uniform_measure(
     system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
 ) -> UniformMeasure:
-    """Construct the unique uniform measure of an irreducible system."""
-    if not system.classify().irreducible:
-        raise NotIrreducible("the uniform measure is only unique for irreducible systems")
-    root = characteristic_root(system, precision)
-    dsc = build_dsc(system)
-    classify_nodes(dsc)
-    u, err = kernel_cocycle(system, root)
-    f = fibred_valuation(system, root, u)
-    h = mobius_transform(system, f)
-    g = g_table(system, h, dsc)
-    initial, m, unreachable = mcsc_tables(system, h, g, dsc)
-    return UniformMeasure(
-        system=system,
-        root=root,
-        dsc=dsc,
-        u=u,
-        f=f,
-        h=h,
-        g=g,
-        initial=initial,
-        transition=m,
-        unreachable=unreachable,
-        cocycle_crosscheck_error=err,
-    )
+    """The unique uniform measure of an irreducible system.
+
+    Built once per system and precision; see
+    :meth:`tracesys.analysis.Analysis.measure`.
+    """
+    from .analysis import Analysis
+
+    return Analysis.of(system).measure(precision)
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -348,12 +326,11 @@ def uniqueness_diagnostics(
     is a 1/r right eigenvector of the positive augmented graph;
     (iii) basic components of that graph are exactly its terminal ones.
     """
+    from .analysis import Analysis
+
     system = measure.system
-    adsc = build_adsc(system)
-    # labels transfer from the plain graph through the (state, clique) pair
-    pair_label = {node: lab for node, lab in zip(measure.dsc.nodes, measure.dsc.labels)}
-    adsc.labels = tuple(pair_label[(s, c)] for (s, c, _i) in adsc.nodes)
-    adsc_pos = adsc.positive_subgraph()
+    analysis = Analysis.of(system)
+    adsc_pos = analysis.adsc_positive
 
     r = measure.r
     vec = np.array(
@@ -369,12 +346,14 @@ def uniqueness_diagnostics(
             fu[v] += vec[w]
     residual = float(np.abs(fu - vec / r).max())
 
-    radii = component_radii(adsc_pos)
+    radii = radii_report(analysis.adsc_positive_radii)
     cond_pos = adsc_pos.condensation()
     basic = tuple(i for i, b in enumerate(radii.basic) if b)
     terminal = tuple(i for i, t in enumerate(cond_pos.terminal) if t)
 
-    strict_ok, literal_disagrees = _null_reachability(adsc)
+    strict_ok, literal_disagrees = _null_reachability(
+        analysis.adsc, radii_report(analysis.adsc_radii).basic
+    )
 
     ok = (
         residual <= residual_tol
@@ -393,7 +372,9 @@ def uniqueness_diagnostics(
     )
 
 
-def _null_reachability(adsc: StateCliqueGraph) -> tuple[bool, bool]:
+def _null_reachability(
+    adsc: StateCliqueGraph, basic_flags: tuple[bool, ...]
+) -> tuple[bool, bool]:
     """Null nodes are exactly those strictly below a basic component.
 
     Returns (strict reading matches labels, literal reflexive reading
@@ -401,8 +382,7 @@ def _null_reachability(adsc: StateCliqueGraph) -> tuple[bool, bool]:
     components themselves, so a disagreement there is informational only.
     """
     cond = adsc.condensation()
-    radii = component_radii(adsc)
-    basic = [i for i, b in enumerate(radii.basic) if b]
+    basic = [i for i, b in enumerate(basic_flags) if b]
     strict_ok = True
     literal_disagrees = False
     for v in range(len(adsc.nodes)):

@@ -188,8 +188,24 @@ class TraceMonoid:
     def empty_clique(self) -> Clique:
         return self.cliques()[0]
 
+    def dependence_mask(self, c: Clique) -> int:
+        """Letters that depend on some letter of ``c``, as a mask.
+
+        Normality c -> d holds iff ``d.mask & ~dependence_mask(c) == 0``.
+        """
+        out = 0
+        rest = c.mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            out |= self._dep_mask(bit.bit_length() - 1)
+        return out
+
     def normal_step(self, c: Clique, d: Clique) -> bool:
-        """Normality c -> d: every letter of d depends on some letter of c."""
+        """Normality c -> d: every letter of d depends on some letter of c.
+
+        The letter-by-letter reference for :meth:`dependence_mask`.
+        """
         rest = d.mask
         while rest:
             bit = rest & -rest

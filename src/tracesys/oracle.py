@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import Analysis
 from .errors import CapExceeded
-from .graphs import StateCliqueGraph, build_adsc, count_paths_table
+from .graphs import StateCliqueGraph, count_paths_table
 from .monoid import NormalForm
 from .spectral import verify_inversion
 from .system import ConcurrentSystem
@@ -86,8 +87,9 @@ def cross_check(
     """Oracle counts vs. path-counting DP vs. series inversion, all exact."""
     if max_len > cap:
         raise CapExceeded(f"length {max_len} exceeds the oracle cap {cap}")
+    analysis = Analysis.of(system)  # shared with verify_inversion below
     if adsc is None:
-        adsc = build_adsc(system)
+        adsc = analysis.adsc
     mismatches = []
     for origin in system.states:
         table = count_paths_table(adsc, origin, max_len)

@@ -7,8 +7,8 @@ from fractions import Fraction
 from . import measure as measure_mod
 from . import oracle as oracle_mod
 from . import spectral
+from .analysis import Analysis
 from .errors import TraceSysError
-from .graphs import build_adsc, build_dsc, classify_nodes
 from .monoid import Clique
 from .system import ConcurrentSystem
 
@@ -69,17 +69,15 @@ def analyze_report(
         },
     }
 
-    pm = spectral.mobius_matrix(system)
-    theta = spectral.determinant(pm)
+    analysis = Analysis.of(system)
+    pm = analysis.mobius
     doc["polynomials"] = {
         "states": list(pm.states),
         "mobius_matrix": [[list(e) for e in row] for row in pm.entries],
-        "determinant": list(theta),
+        "determinant": list(analysis.theta),
     }
 
-    dsc = build_dsc(system)
-    classify_nodes(dsc)
-    adsc = build_adsc(system)
+    dsc, adsc = analysis.dsc, analysis.adsc
     dsc_pos = dsc.positive_subgraph()
     cond = dsc.condensation()
     cond_pos = dsc_pos.condensation()
@@ -95,15 +93,13 @@ def analyze_report(
         {"state": s, "clique": _clique_key(c), "label": "positive" if pos else "null"}
         for (s, c), pos in zip(dsc.nodes, dsc.labels)
     ]
-    pair_label = {n: lab for n, lab in zip(dsc.nodes, dsc.labels)}
-    adsc.labels = tuple(pair_label[(s, c)] for (s, c, _i) in adsc.nodes)
     doc["spectral_radii"] = {
-        "adsc": spectral.spectral_radius(adsc.succ),
-        "adsc_positive": spectral.spectral_radius(adsc.positive_subgraph().succ),
+        "adsc": spectral.max_radius(analysis.adsc_radii),
+        "adsc_positive": spectral.max_radius(analysis.adsc_positive_radii),
     }
 
     try:
-        root = spectral.characteristic_root(system, precision)
+        root = analysis.root(precision)
         doc["root"] = root_json(root)
     except TraceSysError as exc:
         root = None
@@ -184,7 +180,7 @@ def analyze_report(
 
 
 def oracle_report(system: ConcurrentSystem, max_len: int) -> dict:
-    rep = oracle_mod.cross_check(system, max_len, cap=max(max_len, oracle_mod.DEFAULT_CAP))
+    rep = oracle_mod.cross_check(system, max_len)
     return {
         "max_len": rep.max_len,
         "ok": rep.ok,

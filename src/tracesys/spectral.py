@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import poly
-from .errors import (
-    AmbiguousBasic,
-    NonConvergence,
-    NoRootInUnitInterval,
-    NotAccessible,
-    SingularAtT,
-    TraceSysError,
-    TrivialSystem,
-)
+from .errors import AmbiguousBasic, NonConvergence, SingularAtT, TraceSysError
 from .graphs import Adjacency, StateCliqueGraph
 from .system import ConcurrentSystem
 
@@ -272,20 +265,12 @@ def characteristic_root(
     """Common convergence radius of the growth series, as a root of det.
 
     Requires a non-trivial accessible system; refuses anything else rather
-    than extrapolating.
+    than extrapolating.  Isolated once per system and precision; see
+    :meth:`tracesys.analysis.Analysis.root`.
     """
-    cls = system.classify()
-    if cls.trivial:
-        raise TrivialSystem("trivial system has no characteristic root in (0, 1]")
-    if not cls.accessible:
-        raise NotAccessible("characteristic root requires an accessible system")
-    theta = determinant(mobius_matrix(system))
-    root = root_from_theta(theta, precision)
-    if root is None:
-        raise NoRootInUnitInterval(
-            "no root in (0, 1]; hypotheses violated for this system"
-        )
-    return root
+    from .analysis import Analysis
+
+    return Analysis.of(system).root(precision)
 
 
 # ---------------------------------------------------------------- growth matrix
@@ -303,7 +288,9 @@ def growth_eval(
         root = characteristic_root(system)
     if t >= root.lo:
         raise SingularAtT(f"{t} is not below the isolating interval of the root")
-    m = mobius_matrix(system).evaluate(t)
+    from .analysis import Analysis
+
+    m = Analysis.of(system).mobius.evaluate(t)
     return _invert_fraction_matrix(m)
 
 
@@ -342,17 +329,18 @@ def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
     of the alternating clique matrix with the growth coefficients telescope
     to the identity.
     """
-    from .graphs import build_adsc, count_paths_table
+    from .analysis import Analysis
+    from .graphs import count_paths_table
 
-    pm = mobius_matrix(system)
+    analysis = Analysis.of(system)
+    pm = analysis.mobius
     n = pm.dim
     max_deg = max(poly.degree(e) for row in pm.entries for e in row)
     mu = [
         [[e[k] if k < len(e) else 0 for e in row] for row in pm.entries]
         for k in range(max_deg + 1)
     ]
-    adsc = build_adsc(system)
-    tables = [count_paths_table(adsc, s, order) for s in system.states]
+    tables = [count_paths_table(analysis.adsc, s, order) for s in system.states]
     g = [
         [
             [tables[i][m].get(t, 0) for t in system.states]
@@ -397,16 +385,26 @@ def spectral_radius(succ: Adjacency, tol: float = 1e-10, max_iter: int = 100_000
     """
     from .graphs import tarjan_sccs
 
-    best = 0.0
-    for comp in tarjan_sccs(succ):
-        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
-            continue
-        remap = {v: i for i, v in enumerate(comp)}
-        sub = tuple(
-            tuple(remap[w] for w in succ[v] if w in remap) for v in comp
-        )
-        best = max(best, _power_radius(sub, tol, max_iter))
-    return best
+    return max_radius(
+        component_radius(succ, comp, tol, max_iter) for comp in tarjan_sccs(succ)
+    )
+
+
+def max_radius(radii: Iterable[float]) -> float:
+    """Radius of a digraph from the radii of its components (0 if acyclic)."""
+    return max((0.0, *radii))
+
+
+def component_radius(
+    succ: Adjacency, comp: Sequence[int], tol: float = 1e-10, max_iter: int = 100_000
+) -> float:
+    """Spectral radius of the subgraph induced on one strongly connected
+    component, given by its sorted node indices; 0 for a loopless singleton."""
+    if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+        return 0.0
+    remap = {v: i for i, v in enumerate(comp)}
+    sub = tuple(tuple(remap[w] for w in succ[v] if w in remap) for v in comp)
+    return _power_radius(sub, tol, max_iter)
 
 
 def _power_radius(succ: Adjacency, tol: float, max_iter: int) -> float:
@@ -440,21 +438,26 @@ def component_radii(
     basic_rtol: float = 1e-8,
     ambiguous_rtol: float = 1e-6,
 ) -> ComponentRadiiReport:
-    """Spectral radius of each SCC, with basic flags against the global radius.
+    """Spectral radius of each SCC, with basic flags against the global radius."""
+    radii = tuple(
+        component_radius(graph.succ, comp) for comp in graph.condensation().components
+    )
+    return radii_report(radii, basic_rtol, ambiguous_rtol)
+
+
+def radii_report(
+    radii: tuple[float, ...],
+    basic_rtol: float = 1e-8,
+    ambiguous_rtol: float = 1e-6,
+) -> ComponentRadiiReport:
+    """Basic flags of components with the given radii; the global radius is
+    their maximum.
 
     A component is basic when its radius matches the global one within
     ``basic_rtol`` (relative); radii landing between the two tolerances are
     surfaced as an error instead of being guessed either way.
     """
-    cond = graph.condensation()
-    global_rho = spectral_radius(graph.succ)
-    radii = []
-    for comp in cond.components:
-        remap = {v: i for i, v in enumerate(comp)}
-        sub = tuple(
-            tuple(remap[w] for w in graph.succ[v] if w in remap) for v in comp
-        )
-        radii.append(spectral_radius(sub))
+    global_rho = max_radius(radii)
     basic = []
     for rho in radii:
         gap = (global_rho - rho) / global_rho if global_rho > 0 else 0.0
@@ -467,7 +470,7 @@ def component_radii(
         else:
             basic.append(False)
     return ComponentRadiiReport(
-        global_radius=global_rho, radii=tuple(radii), basic=tuple(basic)
+        global_radius=global_rho, radii=radii, basic=tuple(basic)
     )
 
 

@@ -65,6 +65,7 @@ class ConcurrentSystem:
             self._compute_clique_targets(i) for i in range(n)
         )
         self._classification: SystemClassification | None = None
+        self._analysis = None  # weak reference, set by tracesys.analysis.Analysis.of
 
     # ------------------------------------------------------------ basics
 

@@ -1,0 +1,98 @@
+import sys
+import weakref
+from collections import Counter
+from fractions import Fraction
+
+from tracesys import fixtures, graphs, spectral
+from tracesys.analysis import Analysis
+from tracesys.measure import uniform_measure
+from tracesys.report import analyze_report
+from tracesys.spectral import (
+    characteristic_root,
+    component_radii,
+    max_radius,
+    spectral_radius,
+)
+
+
+def test_positive_radii_reused_from_adsc_bit_for_bit(irreducible_fixtures):
+    for name, system in irreducible_fixtures.items():
+        a = Analysis(system)
+        pos = a.adsc.positive_subgraph()
+        assert a.adsc_positive_radii == component_radii(pos).radii, name
+        assert max_radius(a.adsc_positive_radii) == spectral_radius(pos.succ), name
+        assert a.adsc_radii == component_radii(a.adsc).radii, name
+        assert max_radius(a.adsc_radii) == spectral_radius(a.adsc.succ), name
+
+
+def test_graphs_come_labelled(aztec):
+    a = Analysis(aztec)
+    assert a.dsc.labels == graphs.classify_nodes(graphs.build_dsc(aztec))
+    assert a.adsc.labels is not None
+    assert a.adsc_positive.labels == (True,) * len(a.adsc_positive)
+
+
+def test_public_functions_share_the_held_analysis():
+    system = fixtures.aztec_system()
+    a = Analysis.of(system)
+    assert Analysis.of(system) is a
+    assert characteristic_root(system) is a.root()
+    assert uniform_measure(system) is a.measure()
+    assert a.measure().dsc is a.dsc
+    ref = weakref.ref(a)
+    del a
+    assert ref() is None  # nothing keeps an analysis alive but its holders
+    assert Analysis.of(system).dsc is not None
+
+
+def _count_calls(monkeypatch, targets):
+    """Count calls of each (module, function) through every tracesys binding."""
+    counts = Counter()
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("tracesys") and m]
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+def test_analyze_builds_each_quantity_once(monkeypatch):
+    system = fixtures.aztec_system()
+    counts = _count_calls(monkeypatch, [
+        (graphs, "build_dsc"),
+        (graphs, "build_adsc"),
+        (graphs, "classify_nodes"),
+        (spectral, "determinant"),
+        (spectral, "_power_radius"),
+    ])
+    held = Analysis.of(system)  # still empty: the report fills it
+    analyze_report(system)
+    letters = len(system.monoid.letters)
+    adsc = held.adsc
+    cyclic = [
+        comp for comp in adsc.condensation().components
+        if len(comp) > 1 or comp[0] in adsc.succ[comp[0]]
+    ]
+    assert counts == {
+        "build_dsc": 1,
+        "build_adsc": 1,
+        "classify_nodes": 1,
+        "determinant": 1 + letters,
+        "_power_radius": len(cyclic),
+    }
+
+
+def test_root_and_measure_kept_per_precision():
+    a = Analysis(fixtures.two_state_system())
+    coarse = Fraction(1, 1000)
+    assert a.root(coarse) is a.root(coarse)
+    assert a.measure(coarse).root is a.root(coarse)
+    assert a.measure() is not a.measure(coarse)
+    assert a.root().width < coarse

@@ -157,3 +157,46 @@ def test_petri_unbounded_is_input_error(tmp_path, capsys):
         "[places] p q\n[transitions] t\n[flow]\np -> t, t -> q\n[marking] p q\n"
     )
     assert main(["check", str(path), "--petri"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--mode", "uniform", "--length", "-3"],
+    ["sample", "--count", "-1", "--json"],
+    ["sample", "--mode", "mcsc", "--steps", "-1"],
+    ["sample", "--count", "two"],
+    ["analyze", "--series-order", "-1"],
+    ["oracle", "--max-len", "-1"],
+])
+def test_negative_counts_are_usage_errors(e1_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], e1_file, *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+def test_sample_unknown_start_is_input_error(e1_file, capsys):
+    assert main(["sample", e1_file, "--start", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown state 'nope'\n"
+    assert captured.out == ""
+
+
+def test_sample_zero_count_is_empty(e1_file, capsys):
+    assert main(["sample", e1_file, "--count", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == []
+
+
+def test_oracle_cap_is_authoritative(e1_file, monkeypatch, capsys):
+    from tracesys import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(oracle, "enumerate_executions", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", e1_file, "--max-len", "30"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"between 0 and {oracle.DEFAULT_CAP}" in err

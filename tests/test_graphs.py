@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracesys.errors import TraceSysError
 from tracesys.graphs import (
@@ -93,6 +97,51 @@ def test_adsc_aztec_size(aztec):
     two_cliques = sum(1 for _s, c in dsc.nodes if c.size == 2)
     assert two_cliques == 8
     assert len(build_adsc(aztec)) == 26 + two_cliques
+
+
+def normal_step_successors(system, dsc):
+    """dsc successors by the letter-by-letter normality test."""
+    return tuple(
+        tuple(
+            dsc.index[(t, d)]
+            for d in system.enabled_cliques(t)
+            if system.monoid.normal_step(c, d)
+        )
+        for s, c in dsc.nodes
+        for t in [system.clique_target(s, c)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    .map(lambda flags: (n, flags))
+))
+def test_dsc_mask_successors_match_normal_step(case):
+    n, flags = case
+    letters = [f"x{i}" for i in range(n)]
+    pairs = [p for p, keep in zip(combinations(letters, 2), flags) if keep]
+    monoid = TraceMonoid(letters, pairs)
+    system = ConcurrentSystem.canonical(monoid)
+    dsc = build_dsc(system)
+    assert dsc.succ == normal_step_successors(system, dsc)
+
+
+def test_dsc_mask_successors_match_normal_step_on_fixtures(irreducible_fixtures):
+    for system in irreducible_fixtures.values():
+        dsc = build_dsc(system)
+        assert dsc.succ == normal_step_successors(system, dsc)
+
+
+def test_adsc_inherits_dsc_labels(irreducible_fixtures):
+    for system in irreducible_fixtures.values():
+        dsc = build_dsc(system)
+        classify_nodes(dsc)
+        adsc = build_adsc(system, dsc)
+        assert adsc.succ == build_adsc(system).succ
+        want = tuple(dsc.labels[dsc.index[(s, c)]] for s, c, _i in adsc.nodes)
+        assert adsc.labels == want
+        assert build_adsc(system).labels is None
 
 
 # ------------------------------------------------------------ SCC condensation
