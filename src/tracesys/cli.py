@@ -129,16 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_check(system: ConcurrentSystem, args) -> int:
     cls = system.classify()
     if args.json:
-        doc = {
-            "trivial": cls.trivial,
-            "accessible": cls.accessible,
-            "alive": cls.alive,
-            "monoid_irreducible": cls.monoid_irreducible,
-            "irreducible": cls.irreducible,
-            "witnesses": {k: list(v) if k != "coxeter_components" else [list(x) for x in v]
-                          for k, v in cls.witnesses.items()},
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(report_mod.classification_json(system), indent=2))
     else:
         print(f"states={len(system.states)} letters={len(system.monoid.letters)}")
         print(f"trivial={cls.trivial} accessible={cls.accessible} alive={cls.alive}")

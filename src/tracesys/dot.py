@@ -25,7 +25,7 @@ def dot_states(system: ConcurrentSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_state_clique_graph(graph: StateCliqueGraph, clusters: bool = True) -> str:
+def dot_state_clique_graph(graph: StateCliqueGraph) -> str:
     """States-and-cliques digraph; null nodes filled grey, SCCs clustered,
     terminal clusters double-bordered."""
     if graph.labels is None and graph.kind in ("dsc", "adsc"):
@@ -33,22 +33,14 @@ def dot_state_clique_graph(graph: StateCliqueGraph, clusters: bool = True) -> st
     labels = graph.labels or (True,) * len(graph.nodes)
     cond = graph.condensation()
     lines = [f"digraph {graph.kind.replace('+', '_pos')} {{", "  node [style=filled];"]
-
-    def node_line(v: int) -> str:
-        fill = POSITIVE_FILL if labels[v] else NULL_FILL
-        return f"    n{v} [label={_q(graph.node_str(v))} fillcolor={_q(fill)}];"
-
-    if clusters:
-        for ci, comp in enumerate(cond.components):
-            lines.append(f"  subgraph cluster_{ci} {{")
-            if cond.terminal[ci]:
-                lines.append("    peripheries=2;")
-            for v in comp:
-                lines.append(node_line(v))
-            lines.append("  }")
-    else:
-        for v in range(len(graph.nodes)):
-            lines.append(node_line(v))
+    for ci, comp in enumerate(cond.components):
+        lines.append(f"  subgraph cluster_{ci} {{")
+        if cond.terminal[ci]:
+            lines.append("    peripheries=2;")
+        for v in comp:
+            fill = POSITIVE_FILL if labels[v] else NULL_FILL
+            lines.append(f"    n{v} [label={_q(graph.node_str(v))} fillcolor={_q(fill)}];")
+        lines.append("  }")
     for v in range(len(graph.nodes)):
         for w in graph.succ[v]:
             lines.append(f"  n{v} -> n{w};")

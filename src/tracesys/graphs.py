@@ -112,17 +112,6 @@ def condense(succ: Adjacency) -> Condensation:
     )
 
 
-def is_acyclic(succ: Adjacency) -> bool:
-    """True iff the adjacency is nilpotent: every SCC is a loopless singleton."""
-    for comp in tarjan_sccs(succ):
-        if len(comp) > 1:
-            return False
-        v = comp[0]
-        if v in succ[v]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------- states-and-cliques
 
 @dataclass

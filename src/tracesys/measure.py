@@ -69,9 +69,7 @@ def _kernel_vector_full_pivot(m: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
 
 def kernel_cocycle(
-    system: ConcurrentSystem,
-    root: CharacteristicRoot,
-    crosscheck: bool = True,
+    system: ConcurrentSystem, root: CharacteristicRoot
 ) -> tuple[np.ndarray, float]:
     """Positive kernel vector of the matrix at the root, base-normalized.
 
@@ -92,18 +90,15 @@ def kernel_cocycle(
     if not (u > 0).all():
         raise NonPositiveKernelVector(f"kernel vector has non-positive entries: {u}")
 
+    t = mid * (1 - Fraction(1, 10**6))
+    growth = growth_eval(system, t, root)
+    row_sums = [float(sum(row)) for row in growth]
     err = 0.0
-    if crosscheck:
-        t = mid * (1 - Fraction(1, 10**6))
-        growth = growth_eval(system, t, root)
-        row_sums = [float(sum(row)) for row in growth]
-        for i in range(len(system.states)):
-            for j in range(len(system.states)):
-                err = max(err, abs(u[j] / u[i] - row_sums[j] / row_sums[i]))
-        if err > 1e-3:
-            raise CrossCheckFailure(
-                f"cocycle disagrees with growth-series ratios by {err}"
-            )
+    for i in range(len(system.states)):
+        for j in range(len(system.states)):
+            err = max(err, abs(u[j] / u[i] - row_sums[j] / row_sums[i]))
+    if err > 1e-3:
+        raise CrossCheckFailure(f"cocycle disagrees with growth-series ratios by {err}")
     return u, err
 
 

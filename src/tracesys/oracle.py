@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .analysis import Analysis
 from .errors import CapExceeded
-from .graphs import StateCliqueGraph, count_paths_table
+from .graphs import count_paths_table
 from .monoid import NormalForm
 from .spectral import verify_inversion
 from .system import ConcurrentSystem
@@ -78,23 +78,16 @@ class CrossCheckReport:
     inversion_ok: bool
 
 
-def cross_check(
-    system: ConcurrentSystem,
-    max_len: int,
-    cap: int = DEFAULT_CAP,
-    adsc: StateCliqueGraph | None = None,
-) -> CrossCheckReport:
+def cross_check(system: ConcurrentSystem, max_len: int) -> CrossCheckReport:
     """Oracle counts vs. path-counting DP vs. series inversion, all exact."""
-    if max_len > cap:
-        raise CapExceeded(f"length {max_len} exceeds the oracle cap {cap}")
-    analysis = Analysis.of(system)  # shared with verify_inversion below
-    if adsc is None:
-        adsc = analysis.adsc
+    if max_len > DEFAULT_CAP:
+        raise CapExceeded(f"length {max_len} exceeds the oracle cap {DEFAULT_CAP}")
+    adsc = Analysis.of(system).adsc  # shared with verify_inversion below
     mismatches = []
     for origin in system.states:
         table = count_paths_table(adsc, origin, max_len)
         for n in range(max_len + 1):
-            exact = enumerate_executions(system, origin, n, cap=cap)
+            exact = enumerate_executions(system, origin, n)
             for target in system.states:
                 want = exact.by_target.get(target, 0)
                 got = table[n].get(target, 0)

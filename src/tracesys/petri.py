@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import NotOneBounded, ParseError, StateExplosion
 from .monoid import TraceMonoid
+from .specfile import scan_sections
 from .system import ConcurrentSystem
 
 DEFAULT_MARKING_CAP = 100_000
@@ -38,31 +39,10 @@ class SafePetriNet:
 
 def parse_petri(text: str) -> SafePetriNet:
     sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
-    seen: set[str] = set()
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            end = line.find("]")
-            if end < 0:
-                raise ParseError(line_no, "unterminated section header")
-            name = line[1:end].strip()
-            if name not in _SECTIONS:
-                raise ParseError(line_no, f"unknown section [{name}]")
-            current = name
-            seen.add(name)
-            rest = line[end + 1 :].strip()
-            if rest:
-                sections[name].append((line_no, rest))
-            continue
-        if current is None:
-            raise ParseError(line_no, "content before any section header")
-        sections[current].append((line_no, line))
-
+    for line_no, section, chunk in scan_sections(text, _SECTIONS):
+        sections[section].append((line_no, chunk))
     for required in ("places", "transitions", "marking"):
-        if required not in seen:
+        if not sections[required]:
             raise ParseError(0, f"missing [{required}] section")
 
     places = [tok for _ln, chunk in sections["places"] for tok in chunk.split()]

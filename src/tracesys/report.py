@@ -41,6 +41,22 @@ def _table_json(table: dict[str, dict[Clique, float]]) -> dict:
     }
 
 
+def classification_json(system: ConcurrentSystem) -> dict:
+    """The ``classification`` object of the report, also ``check --json``."""
+    cls = system.classify()
+    witnesses = {}
+    for k, v in cls.witnesses.items():
+        witnesses[k] = [list(x) for x in v] if k == "coxeter_components" else list(v)
+    return {
+        "trivial": cls.trivial,
+        "accessible": cls.accessible,
+        "alive": cls.alive,
+        "monoid_irreducible": cls.monoid_irreducible,
+        "irreducible": cls.irreducible,
+        "witnesses": witnesses,
+    }
+
+
 def analyze_report(
     system: ConcurrentSystem,
     precision: Fraction = spectral.DEFAULT_PRECISION,
@@ -48,19 +64,9 @@ def analyze_report(
 ) -> dict:
     """Full analysis of one system; sections degrade to null with a reason
     when their hypotheses fail (reducible, inaccessible, trivial)."""
-    cls = system.classify()
-    witnesses = {}
-    for k, v in cls.witnesses.items():
-        witnesses[k] = [list(x) for x in v] if k == "coxeter_components" else list(v)
+    classification = classification_json(system)
     doc: dict = {
-        "classification": {
-            "trivial": cls.trivial,
-            "accessible": cls.accessible,
-            "alive": cls.alive,
-            "monoid_irreducible": cls.monoid_irreducible,
-            "irreducible": cls.irreducible,
-            "witnesses": witnesses,
-        },
+        "classification": classification,
         "monoid": {
             "letters": list(system.monoid.letters),
             "independence": [list(p) for p in system.monoid.independent_pairs],
@@ -122,7 +128,7 @@ def analyze_report(
     else:
         doc["spectral_property"] = None
 
-    if cls.irreducible:
+    if classification["irreducible"]:
         m = measure_mod.uniform_measure(system, precision)
         null_check = measure_mod.numeric_null_check(m)
         uniq = measure_mod.uniqueness_diagnostics(m)

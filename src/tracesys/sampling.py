@@ -8,13 +8,12 @@ probability is ever represented in floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySet, TraceSysError
-from .graphs import StateCliqueGraph, build_adsc
+from .graphs import build_adsc
 from .measure import UniformMeasure
 from .monoid import Clique
 from .system import ConcurrentSystem
@@ -113,22 +112,21 @@ class UniformExecutionSampler:
 
     Backward sampling on the augmented-graph path counts: node weights are
     big integers, draws are unbiased integer draws, no float probabilities.
+    The sampler keeps one table, ``paths[m][v]``: the number of m-letter
+    executions whose first letter is adsc node v.  Its memory is one big
+    integer per (adsc node, length) and nothing per arc.  Each draw walks
+    a candidate list, subtracting weights from a uniform index below their
+    sum.
     """
 
-    def __init__(
-        self,
-        system: ConcurrentSystem,
-        start: str,
-        length: int,
-        adsc: StateCliqueGraph | None = None,
-    ):
+    def __init__(self, system: ConcurrentSystem, start: str, length: int):
         if length < 0:
             raise TraceSysError("length must be non-negative")
         self.system = system
         self.start = start
         self.length = length
         system.state_index(start)
-        adsc = adsc if adsc is not None else build_adsc(system)
+        adsc = build_adsc(system)
         self._adsc = adsc
         n_nodes = len(adsc.nodes)
 
@@ -142,6 +140,7 @@ class UniformExecutionSampler:
                 row = paths[m]
                 for v in range(n_nodes):
                     row[v] = sum(prev[w] for w in adsc.succ[v])
+        self._paths = paths
 
         self._start_nodes = [
             i for i, (s, _c, k) in enumerate(adsc.nodes) if s == start and k == 1
@@ -153,28 +152,17 @@ class UniformExecutionSampler:
         if self.total == 0:
             raise EmptySet(length)
 
-        # cumulative successor weights for each (node, nodes remaining)
-        self._start_cum = _cumulative([paths[length][v] for v in self._start_nodes]) \
-            if length >= 1 else []
-        self._step_cum: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        for m in range(2, length + 1):
-            for v in range(n_nodes):
-                if paths[m][v]:
-                    succs = list(adsc.succ[v])
-                    cum = _cumulative([paths[m - 1][w] for w in succs])
-                    self._step_cum[(v, m)] = (succs, cum)
-
     def sample(self, rng: SplitMix64) -> tuple[str, ...]:
         """One execution, uniform among all of the configured length."""
         if self.length == 0:
             return ()
-        x = rng.randrange(self.total)
-        v = self._start_nodes[bisect_right(self._start_cum, x)]
-        word = [self._letter(v)]
+        paths, succ = self._paths, self._adsc.succ
         m = self.length
+        v = _pick(self._start_nodes, paths[m], rng.randrange(self.total))
+        word = [self._letter(v)]
         while m > 1:
-            succs, cum = self._step_cum[(v, m)]
-            v = succs[bisect_right(cum, rng.randrange(cum[-1]))]
+            # v's successors weigh paths[m - 1][w] and sum to paths[m][v]
+            v = _pick(succ[v], paths[m - 1], rng.randrange(paths[m][v]))
             word.append(self._letter(v))
             m -= 1
         return tuple(word)
@@ -187,13 +175,14 @@ class UniformExecutionSampler:
         return c.letters[i - 1]
 
 
-def _cumulative(weights: list[int]) -> list[int]:
-    out = []
-    acc = 0
-    for w in weights:
-        acc += w
-        out.append(acc)
-    return out
+def _pick(candidates, weights: list[int], x: int) -> int:
+    """The candidate whose slice holds x, with the candidates' weights laid
+    end to end in order; x must lie below their sum."""
+    for w in candidates:
+        if x < weights[w]:
+            return w
+        x -= weights[w]
+    raise AssertionError("draw beyond the total weight")
 
 
 def sample_uniform_finite(

@@ -24,8 +24,14 @@ SECTIONS = ("alphabet", "independence", "states", "base", "action")
 BOT = "BOT"
 
 
-def _tokenize(text: str):
-    """Yield (line_no, section, tokens) with comments and blanks stripped."""
+def scan_sections(text: str, names: tuple[str, ...]):
+    """Yield (line_no, section, text) for the lines of a sectioned file.
+
+    Comments and blank lines are dropped.  A ``[name]`` header opens a
+    section and yields the rest of its line, possibly empty, so a bare
+    header still shows its section.  Both input formats share this
+    scanner; each splits the text itself.
+    """
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -35,17 +41,14 @@ def _tokenize(text: str):
             end = line.find("]")
             if end < 0:
                 raise ParseError(line_no, "unterminated section header")
-            name = line[1:end].strip()
-            if name not in SECTIONS:
-                raise ParseError(line_no, f"unknown section [{name}]")
-            section = name
-            rest = line[end + 1 :].strip()
-            if rest:
-                yield line_no, section, rest.split()
-            continue
-        if section is None:
+            section = line[1:end].strip()
+            if section not in names:
+                raise ParseError(line_no, f"unknown section [{section}]")
+            yield line_no, section, line[end + 1 :].strip()
+        elif section is None:
             raise ParseError(line_no, "content before any section header")
-        yield line_no, section, line.split()
+        else:
+            yield line_no, section, line
 
 
 def parse_system(text: str) -> ConcurrentSystem:
@@ -56,7 +59,10 @@ def parse_system(text: str) -> ConcurrentSystem:
     triples: list[tuple[int, list[str]]] = []
     seen: set[str] = set()
 
-    for line_no, section, tokens in _tokenize(text):
+    for line_no, section, chunk in scan_sections(text, SECTIONS):
+        tokens = chunk.split()
+        if not tokens:  # a section is present only once it has content
+            continue
         seen.add(section)
         if section == "alphabet":
             alphabet.extend(tokens)

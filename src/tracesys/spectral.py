@@ -42,19 +42,6 @@ class PolynomialMatrix:
     def evaluate(self, x) -> list[list]:
         return [[poly.evaluate(e, x) for e in row] for row in self.entries]
 
-    def __matmul__(self, other: "PolynomialMatrix") -> "PolynomialMatrix":
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = poly.ZERO
-                for k in range(n):
-                    acc = poly.add(acc, poly.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return PolynomialMatrix(self.states, tuple(rows))
-
 
 def mobius_matrix(system: ConcurrentSystem) -> PolynomialMatrix:
     """Entry (a, b): alternating count of enabled cliques leading a to b."""
@@ -181,24 +168,6 @@ def root_from_theta(
     if iso is None:
         return None
     return CharacteristicRoot(theta=theta, square_free=sf, lo=iso[0], hi=iso[1])
-
-
-def refine_root(root: CharacteristicRoot, width: Fraction) -> CharacteristicRoot:
-    """Shrink the isolating interval below ``width`` (no-op for exact roots)."""
-    if root.exact:
-        return root
-    lo, hi = root.lo, root.hi
-    chain = root.chain()
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if poly.sign_at(root.square_free, mid) == 0:
-            lo = hi = mid
-            break
-        if poly.count_roots(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return CharacteristicRoot(root.theta, root.square_free, lo, hi, _chain=chain)
 
 
 def compare_roots(

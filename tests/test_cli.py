@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tracesys.cli import main
-from tracesys.fixtures import aztec_system, two_state_system
+from tracesys.fixtures import ALL_SYSTEMS, aztec_system, two_state_system
 from tracesys.specfile import render_system
 
 PETRI_TEXT = """\
@@ -42,6 +42,17 @@ def test_check_expectation_fails(tmp_path, capsys):
         "[alphabet] a b\n[independence] a b\n[states] s\n[action]\ns a s\ns b s\n"
     )
     assert main(["check", str(path), "--expect-irreducible"]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+def test_check_json_is_report_classification(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.csys"
+    path.write_text(render_system(ALL_SYSTEMS[name]()))
+    assert main(["check", str(path), "--json"]) == 0
+    check = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--json"]) == 0
+    classification = json.loads(capsys.readouterr().out)["classification"]
+    assert json.dumps(check) == json.dumps(classification)
 
 
 def test_input_error_exit_code(tmp_path, capsys):

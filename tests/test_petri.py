@@ -80,6 +80,26 @@ def test_petri_parse_errors():
         parse_petri("[places] p\n[transitions] t\n[flow]\n[marking] q\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("[places] p\n[transitions t\n", 2, "unterminated section header"),
+        ("# net\n[places] p\n\n[arcs] p -> t\n", 4, "unknown section [arcs]"),
+        ("\n# net\np q\n[places] p q\n", 3, "content before any section header"),
+        (
+            "[places] p\n[transitions] t\n[flow]\np -> t,\nt p  # no arrow\n[marking] p\n",
+            5,
+            "malformed arc 't p'",
+        ),
+    ],
+)
+def test_petri_parse_error_lines(text, line_no, message):
+    with pytest.raises(ParseError) as exc:
+        parse_petri(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
 def test_empty_marking_allowed_when_section_present():
     # a net can start with an empty marking: nothing fires
     text = "[places] p\n[transitions] t\n[flow]\np -> t\n[marking]\n"

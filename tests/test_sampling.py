@@ -3,6 +3,8 @@ from collections import Counter
 import pytest
 
 from tracesys.errors import EmptySet
+from tracesys.fixtures import ALL_SYSTEMS
+from tracesys.graphs import build_adsc, count_paths
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import enumerate_executions
 from tracesys.sampling import (
@@ -126,6 +128,20 @@ def test_uniform_finite_exactness_4sigma(e1):
         sigma = (samples * p * (1 - p)) ** 0.5
         for trace, got in counts.items():
             assert abs(got - samples * p) <= 4 * sigma, (n, trace)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+def test_uniform_total_equals_path_count(name):
+    system = ALL_SYSTEMS[name]()
+    adsc = build_adsc(system)
+    for start in system.states:
+        for length in range(13):
+            want = count_paths(adsc, start, None, length)
+            if want == 0:
+                with pytest.raises(EmptySet):
+                    UniformExecutionSampler(system, start, length)
+            else:
+                assert UniformExecutionSampler(system, start, length).total == want
 
 
 def test_sampled_words_replay(aztec):
