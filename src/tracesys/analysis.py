@@ -111,31 +111,11 @@ class Analysis:
         return build_adsc(self.system, self.dsc)
 
     @cached_property
-    def adsc_positive(self) -> StateCliqueGraph:
-        """The adsc induced on its positive nodes."""
-        return self.adsc.positive_subgraph()
-
-    @cached_property
     def adsc_radii(self) -> tuple[float, ...]:
         """Spectral radius of each SCC of the adsc, in condensation order."""
         succ = self.adsc.succ
         return tuple(
             component_radius(succ, comp) for comp in self.adsc.condensation().components
-        )
-
-    @cached_property
-    def adsc_positive_radii(self) -> tuple[float, ...]:
-        """Spectral radius of each SCC of the positive adsc, reused from the adsc.
-
-        Positive nodes are closed under predecessors, so each SCC of the
-        positive subgraph is a whole SCC of the adsc with the same induced
-        adjacency, and its radius is the same float.
-        """
-        adsc, pos = self.adsc, self.adsc_positive
-        comp_of = adsc.condensation().comp_of
-        return tuple(
-            self.adsc_radii[comp_of[adsc.index[pos.nodes[comp[0]]]]]
-            for comp in pos.condensation().components
         )
 
     # ------------------------------------------------------------ measure

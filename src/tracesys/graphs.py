@@ -29,20 +29,6 @@ class Condensation:
     succ: tuple[tuple[int, ...], ...]  # DAG arcs between distinct components
     terminal: tuple[bool, ...]
 
-    def reaches(self, i: int, j: int) -> bool:
-        """Reflexive-transitive reachability between components."""
-        seen = {i}
-        queue = [i]
-        while queue:
-            u = queue.pop()
-            if u == j:
-                return True
-            for v in self.succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return j in seen
-
 
 def tarjan_sccs(succ: Adjacency) -> list[list[int]]:
     """Strongly connected components, iteratively (no recursion limit)."""
@@ -146,6 +132,20 @@ class StateCliqueGraph:
             self._cond = condense(self.succ)
         return self._cond
 
+    def positive_components(self) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+        """Indices into :meth:`condensation` of the components made of
+        positive nodes, in order, and each one's terminal flag among them.
+
+        Needs labels.  Positive nodes are closed under predecessors, so each
+        component is wholly positive or null, and :meth:`positive_subgraph`
+        has exactly these components, with the same arcs, in this order.
+        """
+        cond = self.condensation()
+        positive = [self.labels[comp[0]] for comp in cond.components]
+        comps = tuple(ci for ci, pos in enumerate(positive) if pos)
+        terminal = tuple(not any(positive[d] for d in cond.succ[ci]) for ci in comps)
+        return comps, terminal
+
     def positive_subgraph(self) -> "StateCliqueGraph":
         """Induced subgraph on the positive nodes."""
         if self.labels is None:
@@ -221,15 +221,19 @@ def classify_nodes(graph: StateCliqueGraph) -> tuple[bool, ...]:
 
     A node is positive iff it reaches, reflexively, a node whose clique is
     maximal (for inclusion) among the enabled cliques at its state.
+    Enabled cliques are closed under subsets (diamond property and the
+    absorbing sink), so a clique is maximal iff none of its one-letter
+    extensions is enabled: O(enabled * letters) per state.
     """
     system = graph.system
+    bits = [1 << i for i in range(len(system.monoid.letters))]
     maximal: dict[str, set[int]] = {}
     for s in system.states:
-        enabled = system.enabled_cliques(s)
+        enabled = {c.mask for c in system.enabled_cliques(s)}
         maximal[s] = {
-            c.mask
-            for c in enabled
-            if not any(d.mask != c.mask and d.mask & c.mask == c.mask for d in enabled)
+            mask
+            for mask in enabled
+            if not any(not mask & b and mask | b in enabled for b in bits)
         }
     targets = [
         i for i, node in enumerate(graph.nodes) if node[1].mask in maximal[node[0]]

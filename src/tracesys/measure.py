@@ -26,22 +26,23 @@ from .spectral import DEFAULT_PRECISION, CharacteristicRoot, growth_eval, radii_
 from .system import ConcurrentSystem
 
 ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
-IDENTITY_TOL = 1e-9
+KERNEL_RTOL = 1e-9  # pivots below this, relative to the largest entry, count as zero
+EIGEN_RESIDUAL_TOL = 1e-6  # largest eigenvector residual uniqueness accepts
 
 
 # ---------------------------------------------------------------- kernel
 
-def _kernel_vector_full_pivot(m: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def _kernel_vector_full_pivot(m: np.ndarray) -> np.ndarray:
     """One-dimensional kernel of a numerically singular matrix.
 
-    Gaussian elimination with full pivoting; pivots below rtol * max|entry|
-    count as zero.  Raises if the kernel dimension is not exactly one.
+    Gaussian elimination with full pivoting; pivots below KERNEL_RTOL *
+    max|entry| count as zero.  Raises if the kernel dimension is not exactly one.
     """
     a = np.array(m, dtype=float)
     n = a.shape[0]
     # matrices here have unit diagonal constant terms, so 1 is the natural
     # scale; the floor keeps 1x1 near-zero matrices from evading the test
-    tau = rtol * max(1.0, float(np.abs(a).max()))
+    tau = KERNEL_RTOL * max(1.0, float(np.abs(a).max()))
     cols = list(range(n))
     rank = 0
     for k in range(n):
@@ -158,11 +159,10 @@ def mcsc_tables(
     h: dict[str, dict[Clique, float]],
     g: dict[tuple[str, Clique], float],
     dsc: StateCliqueGraph,
-    threshold: float = ZERO_THRESHOLD,
 ) -> tuple[dict[str, dict[Clique, float]], np.ndarray, tuple[bool, ...]]:
     """Initial laws and transition matrix of the states-and-cliques chain.
 
-    Rows whose successor mass g is below the threshold are flagged
+    Rows whose successor mass g is below ZERO_THRESHOLD are flagged
     unreachable and keep the unnormalized successor weights, so node
     indexing stays aligned with the plain graph.
     """
@@ -171,7 +171,7 @@ def mcsc_tables(
     unreachable = []
     for v, (s, c) in enumerate(dsc.nodes):
         gv = g[(s, c)]
-        dead = gv <= threshold
+        dead = gv <= ZERO_THRESHOLD
         unreachable.append(dead)
         for w in dsc.succ[v]:
             t, d = dsc.nodes[w]
@@ -269,9 +269,7 @@ class NullCheckReport:
     min_positive_h: float
 
 
-def numeric_null_check(
-    measure: UniformMeasure, threshold: float = ZERO_THRESHOLD
-) -> NullCheckReport:
+def numeric_null_check(measure: UniformMeasure) -> NullCheckReport:
     """Graph labels vs. the numeric criterion h > 0; disagreement is fatal."""
     dsc = measure.dsc
     mismatches = []
@@ -283,12 +281,12 @@ def numeric_null_check(
         positive = dsc.labels[v]
         if positive:
             min_pos = min(min_pos, val)
-            if not val > threshold:
+            if not val > ZERO_THRESHOLD:
                 mismatches.append((s, str(c), "graph-positive but h ~ 0", val))
         else:
             null_nodes.append((s, c))
             max_null = max(max_null, abs(val))
-            if not abs(val) <= threshold:
+            if not abs(val) <= ZERO_THRESHOLD:
                 mismatches.append((s, str(c), "graph-null but h > 0", val))
     if mismatches:
         raise ClassificationMismatch(str(mismatches))
@@ -311,9 +309,7 @@ class UniquenessReport:
     ok: bool
 
 
-def uniqueness_diagnostics(
-    measure: UniformMeasure, residual_tol: float = 1e-6
-) -> UniquenessReport:
+def uniqueness_diagnostics(measure: UniformMeasure) -> UniquenessReport:
     """Three checks behind uniqueness, plus the null-reachability cross-check.
 
     (i) the kernel at the root is a line (established during construction);
@@ -325,33 +321,32 @@ def uniqueness_diagnostics(
 
     system = measure.system
     analysis = Analysis.of(system)
-    adsc_pos = analysis.adsc_positive
+    adsc = analysis.adsc
+    labels = adsc.labels
 
     r = measure.r
     vec = np.array(
         [
             measure.gamma(system.base_state, s) * measure.h[s][c] / r ** (i - 1)
-            for (s, c, i) in adsc_pos.nodes
+            for (s, c, i) in adsc.nodes
         ]
     )
-    n = len(adsc_pos.nodes)
-    fu = np.zeros(n)
-    for v in range(n):
-        for w in adsc_pos.succ[v]:
-            fu[v] += vec[w]
-    residual = float(np.abs(fu - vec / r).max())
+    positive = [v for v, pos in enumerate(labels) if pos]
+    # the float sums run in ``succ`` order: the report's bytes depend on it
+    fu = np.array([sum(vec[w] for w in adsc.succ[v] if labels[w]) for v in positive])
+    residual = float(np.abs(fu - vec[positive] / r).max())
 
-    radii = radii_report(analysis.adsc_positive_radii)
-    cond_pos = adsc_pos.condensation()
+    comps, terminal_flags = adsc.positive_components()
+    radii = radii_report(tuple(analysis.adsc_radii[ci] for ci in comps))
     basic = tuple(i for i, b in enumerate(radii.basic) if b)
-    terminal = tuple(i for i, t in enumerate(cond_pos.terminal) if t)
+    terminal = tuple(i for i, t in enumerate(terminal_flags) if t)
 
     strict_ok, literal_disagrees = _null_reachability(
-        analysis.adsc, radii_report(analysis.adsc_radii).basic
+        adsc, radii_report(analysis.adsc_radii).basic
     )
 
     ok = (
-        residual <= residual_tol
+        residual <= EIGEN_RESIDUAL_TOL
         and basic == terminal
         and strict_ok
     )
@@ -377,13 +372,18 @@ def _null_reachability(
     components themselves, so a disagreement there is informational only.
     """
     cond = adsc.condensation()
-    basic = [i for i, b in enumerate(basic_flags) if b]
+    below = [False] * len(cond.components)
+    stack = [d for b, flag in enumerate(basic_flags) if flag for d in cond.succ[b]]
+    while stack:
+        d = stack.pop()
+        if not below[d]:
+            below[d] = True
+            stack.extend(cond.succ[d])
     strict_ok = True
     literal_disagrees = False
-    for v in range(len(adsc.nodes)):
-        comp = cond.comp_of[v]
-        strictly = any(b != comp and cond.reaches(b, comp) for b in basic)
-        literally = any(cond.reaches(b, comp) for b in basic)
+    for v, comp in enumerate(cond.comp_of):
+        strictly = below[comp]
+        literally = strictly or basic_flags[comp]
         is_null = not adsc.labels[v]
         if strictly != is_null:
             strict_ok = False

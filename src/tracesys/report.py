@@ -84,24 +84,26 @@ def analyze_report(
     }
 
     dsc, adsc = analysis.dsc, analysis.adsc
-    dsc_pos = dsc.positive_subgraph()
     cond = dsc.condensation()
-    cond_pos = dsc_pos.condensation()
+    dsc_pos, dsc_pos_terminal = dsc.positive_components()
     doc["graphs"] = {
         "dsc_nodes": len(dsc),
         "adsc_nodes": len(adsc),
         "dsc_scc_count": len(cond.components),
         "dsc_terminal_count": sum(cond.terminal),
-        "dsc_positive_scc_count": len(cond_pos.components),
-        "dsc_positive_terminal_count": sum(cond_pos.terminal),
+        "dsc_positive_scc_count": len(dsc_pos),
+        "dsc_positive_terminal_count": sum(dsc_pos_terminal),
     }
     doc["node_labels"] = [
         {"state": s, "clique": _clique_key(c), "label": "positive" if pos else "null"}
         for (s, c), pos in zip(dsc.nodes, dsc.labels)
     ]
+    radii = analysis.adsc_radii
     doc["spectral_radii"] = {
-        "adsc": spectral.max_radius(analysis.adsc_radii),
-        "adsc_positive": spectral.max_radius(analysis.adsc_positive_radii),
+        "adsc": spectral.max_radius(radii),
+        "adsc_positive": spectral.max_radius(
+            radii[ci] for ci in adsc.positive_components()[0]
+        ),
     }
 
     try:

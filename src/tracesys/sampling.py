@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import Analysis
 from .errors import EmptySet, TraceSysError
-from .graphs import build_adsc
 from .measure import UniformMeasure
 from .monoid import Clique
 from .system import ConcurrentSystem
@@ -126,7 +126,7 @@ class UniformExecutionSampler:
         self.start = start
         self.length = length
         system.state_index(start)
-        adsc = build_adsc(system)
+        adsc = Analysis.of(system).adsc  # shared with a held analysis
         self._adsc = adsc
         n_nodes = len(adsc.nodes)
 

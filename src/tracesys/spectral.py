@@ -21,6 +21,9 @@ from .graphs import Adjacency, StateCliqueGraph
 from .system import ConcurrentSystem
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
+POWER_TOL = 1e-10  # power iteration stops when successive estimates differ by less
+POWER_MAX_ITER = 100_000
+COMPARE_MAX_ROUNDS = 200  # bisection rounds before two roots count as inseparable
 
 
 # ---------------------------------------------------------------- matrices
@@ -43,13 +46,22 @@ class PolynomialMatrix:
         return [[poly.evaluate(e, x) for e in row] for row in self.entries]
 
 
-def mobius_matrix(system: ConcurrentSystem) -> PolynomialMatrix:
-    """Entry (a, b): alternating count of enabled cliques leading a to b."""
+def mobius_matrix(
+    system: ConcurrentSystem, without: str | None = None
+) -> PolynomialMatrix:
+    """Entry (a, b): alternating count of enabled cliques leading a to b.
+
+    With ``without``, the cliques that contain that letter are skipped,
+    which gives the matrix of the system restricted to the other letters.
+    """
+    skip = 0 if without is None else 1 << system.monoid.letter_index(without)
     n = len(system.states)
     deg = len(system.monoid.letters)
     rows = [[[0] * (deg + 1) for _ in range(n)] for _ in range(n)]
     for i, s in enumerate(system.states):
         for c in system.cliques_from(s):
+            if c.mask & skip:
+                continue
             t = system.clique_target(s, c)
             j = system.state_index(t)
             rows[i][j][c.size] += (-1) ** c.size
@@ -171,7 +183,7 @@ def root_from_theta(
 
 
 def compare_roots(
-    a: CharacteristicRoot, b: CharacteristicRoot, max_rounds: int = 200
+    a: CharacteristicRoot, b: CharacteristicRoot
 ) -> tuple[int, CharacteristicRoot, CharacteristicRoot]:
     """Order two isolated algebraic roots exactly.
 
@@ -179,7 +191,7 @@ def compare_roots(
     disjoint, or collapsed to a proven common root (sign 0).  Equality of
     irrational roots is decided through the gcd of the square-free parts.
     """
-    for _ in range(max_rounds):
+    for _ in range(COMPARE_MAX_ROUNDS):
         if a.exact and b.exact:
             return (a.lo > b.lo) - (a.lo < b.lo), a, b
         if a.exact:
@@ -193,7 +205,7 @@ def compare_roots(
             b = _refine_step(b, exclude=a.lo)
             continue
         if b.exact:
-            cmp, b, a = compare_roots(b, a, max_rounds)
+            cmp, b, a = compare_roots(b, a)
             return -cmp, a, b
         if a.hi <= b.lo:
             return -1, a, b
@@ -342,7 +354,7 @@ def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
 
 # ---------------------------------------------------------------- spectral radii
 
-def spectral_radius(succ: Adjacency, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+def spectral_radius(succ: Adjacency) -> float:
     """Largest eigenvalue modulus of the adjacency matrix.
 
     The radius of a digraph is the maximum over its strongly connected
@@ -354,9 +366,7 @@ def spectral_radius(succ: Adjacency, tol: float = 1e-10, max_iter: int = 100_000
     """
     from .graphs import tarjan_sccs
 
-    return max_radius(
-        component_radius(succ, comp, tol, max_iter) for comp in tarjan_sccs(succ)
-    )
+    return max_radius(component_radius(succ, comp) for comp in tarjan_sccs(succ))
 
 
 def max_radius(radii: Iterable[float]) -> float:
@@ -364,19 +374,17 @@ def max_radius(radii: Iterable[float]) -> float:
     return max((0.0, *radii))
 
 
-def component_radius(
-    succ: Adjacency, comp: Sequence[int], tol: float = 1e-10, max_iter: int = 100_000
-) -> float:
+def component_radius(succ: Adjacency, comp: Sequence[int]) -> float:
     """Spectral radius of the subgraph induced on one strongly connected
     component, given by its sorted node indices; 0 for a loopless singleton."""
     if len(comp) == 1 and comp[0] not in succ[comp[0]]:
         return 0.0
     remap = {v: i for i, v in enumerate(comp)}
     sub = tuple(tuple(remap[w] for w in succ[v] if w in remap) for v in comp)
-    return _power_radius(sub, tol, max_iter)
+    return _power_radius(sub)
 
 
-def _power_radius(succ: Adjacency, tol: float, max_iter: int) -> float:
+def _power_radius(succ: Adjacency) -> float:
     """Rayleigh power iteration on (F + Id) for a strongly connected graph."""
     n = len(succ)
     f = np.zeros((n, n))
@@ -385,14 +393,14 @@ def _power_radius(succ: Adjacency, tol: float, max_iter: int) -> float:
             f[v, w] = 1.0
     x = np.ones(n) / np.sqrt(n)
     lam_prev = None
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = x + f @ x
         x = y / np.linalg.norm(y)
         lam = float(x @ (x + f @ x))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol:
+        if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL:
             return lam - 1.0
         lam_prev = lam
-    raise NonConvergence(f"power iteration did not converge in {max_iter} steps")
+    raise NonConvergence(f"power iteration did not converge in {POWER_MAX_ITER} steps")
 
 
 @dataclass(frozen=True)
@@ -469,6 +477,7 @@ def spectral_property_report(
 ) -> SpectralPropertyReport:
     """Per-letter restricted roots and the strict-growth verdict.
 
+    Each restricted matrix drops the cliques that contain the letter.
     Restricted systems may lose accessibility, so their roots are taken
     directly from the determinant of the restricted matrix; absence of a
     root in (0, 1] is reported as an infinite radius, which compares above
@@ -478,8 +487,8 @@ def spectral_property_report(
     entries = []
     witness = None
     for a in system.monoid.letters:
-        sub = system.restrict(a)
-        sub_root = root_from_theta(determinant(mobius_matrix(sub)), precision)
+        theta = determinant(mobius_matrix(system, without=a))
+        sub_root = root_from_theta(theta, precision)
         if sub_root is None:
             entries.append(LetterRestriction(a, None, 1))
             continue

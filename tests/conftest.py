@@ -1,6 +1,8 @@
 import pytest
+from bench_modules import ladder_systems
 
 from tracesys.fixtures import (
+    ALL_SYSTEMS,
     aztec_system,
     smallest_irreducible_monoid,
     two_state_system,
@@ -48,3 +50,9 @@ def aztec_measure(aztec):
 @pytest.fixture(scope="session")
 def twelve_measure(twelve):
     return uniform_measure(twelve)
+
+
+@pytest.fixture(scope="session")
+def reference_systems():
+    """The four fixtures, phil3-phil5, path8 and path10, by name."""
+    return {**{name: f() for name, f in ALL_SYSTEMS.items()}, **ladder_systems()}

@@ -7,20 +7,23 @@ from tracesys import fixtures, graphs, spectral
 from tracesys.analysis import Analysis
 from tracesys.measure import uniform_measure
 from tracesys.report import analyze_report
+from tracesys.sampling import UniformExecutionSampler
 from tracesys.spectral import (
     characteristic_root,
     component_radii,
     max_radius,
     spectral_radius,
 )
+from tracesys.system import ConcurrentSystem
 
 
 def test_positive_radii_reused_from_adsc_bit_for_bit(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         a = Analysis(system)
         pos = a.adsc.positive_subgraph()
-        assert a.adsc_positive_radii == component_radii(pos).radii, name
-        assert max_radius(a.adsc_positive_radii) == spectral_radius(pos.succ), name
+        pos_radii = tuple(a.adsc_radii[ci] for ci in a.adsc.positive_components()[0])
+        assert pos_radii == component_radii(pos).radii, name
+        assert max_radius(pos_radii) == spectral_radius(pos.succ), name
         assert a.adsc_radii == component_radii(a.adsc).radii, name
         assert max_radius(a.adsc_radii) == spectral_radius(a.adsc.succ), name
 
@@ -29,7 +32,6 @@ def test_graphs_come_labelled(aztec):
     a = Analysis(aztec)
     assert a.dsc.labels == graphs.classify_nodes(graphs.build_dsc(aztec))
     assert a.adsc.labels is not None
-    assert a.adsc_positive.labels == (True,) * len(a.adsc_positive)
 
 
 def test_public_functions_share_the_held_analysis():
@@ -63,15 +65,28 @@ def _count_calls(monkeypatch, targets):
     return counts
 
 
+def _count_systems(monkeypatch, counts):
+    """Count ConcurrentSystem constructions under the key "ConcurrentSystem"."""
+    original = ConcurrentSystem.__init__
+
+    def init(self, *args, **kwargs):
+        counts["ConcurrentSystem"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConcurrentSystem, "__init__", init)
+
+
 def test_analyze_builds_each_quantity_once(monkeypatch):
     system = fixtures.aztec_system()
     counts = _count_calls(monkeypatch, [
         (graphs, "build_dsc"),
         (graphs, "build_adsc"),
         (graphs, "classify_nodes"),
+        (graphs, "condense"),
         (spectral, "determinant"),
         (spectral, "_power_radius"),
     ])
+    _count_systems(monkeypatch, counts)
     held = Analysis.of(system)  # still empty: the report fills it
     analyze_report(system)
     letters = len(system.monoid.letters)
@@ -84,9 +99,21 @@ def test_analyze_builds_each_quantity_once(monkeypatch):
         "build_dsc": 1,
         "build_adsc": 1,
         "classify_nodes": 1,
+        "condense": 2,  # the dsc and the adsc; their positive parts reuse them
         "determinant": 1 + letters,
         "_power_radius": len(cyclic),
     }
+    assert counts["ConcurrentSystem"] == 0  # no restricted system per letter
+
+
+def test_sampler_reads_the_held_adsc(monkeypatch):
+    system = fixtures.aztec_system()
+    held = Analysis.of(system)
+    adsc = held.adsc
+    counts = _count_calls(monkeypatch, [(graphs, "build_dsc"), (graphs, "build_adsc")])
+    sampler = UniformExecutionSampler(system, system.base_state, 20)
+    assert counts == {}
+    assert sampler._adsc is adsc
 
 
 def test_root_and_measure_kept_per_precision():

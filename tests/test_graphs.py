@@ -164,7 +164,7 @@ def test_condense_deterministic_numbering():
     assert cond.components[1] == (2, 3)
     assert cond.components[2] == (4,)
     assert cond.terminal == (True, True, False)
-    assert cond.reaches(2, 0) and not cond.reaches(0, 1)
+    assert cond.succ == ((), (), (0, 1))
 
 
 def test_aztec_positive_sccs(aztec):
@@ -233,6 +233,49 @@ def test_maximal_clique_nodes_positive(irreducible_fixtures):
             enabled = system.enabled_cliques(s)
             if not any(d.mask != c.mask and d.mask & c.mask == c.mask for d in enabled):
                 assert labels[v]
+
+
+def _quadratic_labels(graph):
+    """Reference labels: a node is positive iff it reaches, reflexively, a
+    node whose clique no other enabled clique at its state contains."""
+    system = graph.system
+    positive = []
+    for node in graph.nodes:
+        s, c = node[0], node[1]
+        enabled = system.enabled_cliques(s)
+        positive.append(
+            not any(d.mask != c.mask and d.mask & c.mask == c.mask for d in enabled)
+        )
+    changed = True
+    while changed:
+        changed = False
+        for v, out in enumerate(graph.succ):
+            if not positive[v] and any(positive[w] for w in out):
+                positive[v] = changed = True
+    return tuple(positive)
+
+
+def test_classify_matches_quadratic_maximality(reference_systems):
+    for name, system in reference_systems.items():
+        dsc = build_dsc(system)
+        assert classify_nodes(dsc) == _quadratic_labels(dsc), name
+
+
+# ------------------------------------------------------------ positive part
+
+def test_positive_components_match_positive_subgraph(reference_systems):
+    for name, system in reference_systems.items():
+        dsc = build_dsc(system)
+        classify_nodes(dsc)
+        for graph in (dsc, build_adsc(system, dsc)):
+            comps, terminal = graph.positive_components()
+            cond = graph.condensation()
+            pos = graph.positive_subgraph()
+            ref = pos.condensation()
+            got = [tuple(graph.nodes[v] for v in cond.components[ci]) for ci in comps]
+            want = [tuple(pos.nodes[v] for v in comp) for comp in ref.components]
+            assert got == want, (name, graph.kind)
+            assert terminal == ref.terminal, (name, graph.kind)
 
 
 # ------------------------------------------------------------ counting

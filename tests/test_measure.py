@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from tracesys.analysis import Analysis
 
 from tracesys.errors import (
     ClassificationMismatch,
     KernelDimensionNotOne,
     NotIrreducible,
 )
+from tracesys.graphs import StateCliqueGraph
 from tracesys.measure import (
     ZERO_THRESHOLD,
+    _null_reachability,
     numeric_null_check,
     kernel_cocycle,
     uniform_measure,
@@ -17,7 +22,7 @@ from tracesys.measure import (
 )
 from tracesys.monoid import TraceMonoid
 from tracesys.sampling import SplitMix64
-from tracesys.spectral import CharacteristicRoot
+from tracesys.spectral import CharacteristicRoot, radii_report
 from tracesys.system import ConcurrentSystem
 
 TOL = 1e-9
@@ -228,3 +233,55 @@ def test_twelve_has_two_basic_terminal(twelve_measure):
     rep = uniqueness_diagnostics(twelve_measure)
     assert len(rep.basic_components) == 2
     assert len(rep.terminal_components) == 2
+
+
+def _reference_marks(adsc, basic_flags):
+    """Per node: (strictly below a basic component, reflexively below one),
+    found by testing every basic component against the node's component."""
+    cond = adsc.condensation()
+
+    def reached_from(i):
+        seen, queue = {i}, [i]
+        while queue:
+            for v in cond.succ[queue.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+    reach = {b: reached_from(b) for b, flag in enumerate(basic_flags) if flag}
+    marks = []
+    for comp in cond.comp_of:
+        strictly = any(b != comp and comp in seen for b, seen in reach.items())
+        literally = any(comp in seen for seen in reach.values())
+        marks.append((strictly, literally))
+    return marks
+
+
+def _reference_null_reachability(adsc, basic_flags):
+    marks = _reference_marks(adsc, basic_flags)
+    nulls = [not pos for pos in adsc.labels]
+    return (
+        all(strictly == null for (strictly, _l), null in zip(marks, nulls)),
+        any(literally != null for (_s, literally), null in zip(marks, nulls)),
+    )
+
+
+def test_null_reachability_matches_per_node_search(reference_systems):
+    rng = random.Random(5)
+    for name, system in reference_systems.items():
+        analysis = Analysis(system)
+        adsc = analysis.adsc
+        n = len(adsc.condensation().components)
+        flag_sets = [radii_report(analysis.adsc_radii).basic]
+        flag_sets += [tuple(rng.random() < 0.2 for _ in range(n)) for _ in range(5)]
+        for flags in flag_sets:
+            # the true labels, labels under which the strict reading holds,
+            # and those with one node flipped
+            agree = tuple(not strictly for strictly, _l in _reference_marks(adsc, flags))
+            flipped = (not agree[0], *agree[1:])
+            for labels in (adsc.labels, agree, flipped):
+                graph = StateCliqueGraph(adsc.kind, system, adsc.nodes, adsc.succ, labels)
+                got = _null_reachability(graph, flags)
+                assert got == _reference_null_reachability(graph, flags), name
+                assert got[0] == (labels == agree), name

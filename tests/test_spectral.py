@@ -66,6 +66,13 @@ def test_mobius_matrix_product_split():
     assert determinant(pm) == poly.mul(determinant(part_a), determinant(part_b))
 
 
+def test_mobius_matrix_without_letter_is_restricted_matrix(reference_systems):
+    for name, system in reference_systems.items():
+        for a in system.monoid.letters:
+            want = mobius_matrix(system.restrict(a))
+            assert mobius_matrix(system, without=a) == want, (name, a)
+
+
 def test_determinant_examples(e1):
     assert determinant(mobius_matrix(e1)) == (1, -3, 2)
     identity = mobius_matrix(
