@@ -42,9 +42,11 @@ from .system import ConcurrentSystem
 class Analysis:
     """Derived quantities of one system, each filled in on first use.
 
-    The root and the measure depend on the isolation precision and are
-    kept per precision; everything else is precision-free.  Every object
-    handed out is shared by all callers and must be treated as read-only.
+    The root depends on the isolation precision and is kept per precision;
+    the measure is built from a root at least as tight as the default,
+    because its float kernel needs a tight root.  Everything else is
+    precision-free.  Every object handed out is shared by all callers and
+    must be treated as read-only.
     """
 
     def __init__(self, system: ConcurrentSystem):
@@ -122,6 +124,7 @@ class Analysis:
 
     def measure(self, precision: Fraction = DEFAULT_PRECISION) -> UniformMeasure:
         """The unique uniform measure of an irreducible system."""
+        precision = min(precision, DEFAULT_PRECISION)
         m = self._measures.get(precision)
         if m is None:
             system = self.system

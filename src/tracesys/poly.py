@@ -2,7 +2,7 @@
 
 Polynomials are tuples of coefficients in ascending order of degree,
 normalized so the last entry is non-zero; the zero polynomial is ``()``.
-Coefficients are integers: division is exact (Bareiss quotients) or
+Coefficients are integers: division is exact (square-free parts) or
 replaced by pseudo-remainders (Sturm chains, gcd), and the sign at a
 rational point is decided by exact integer evaluation.  Everything here
 is exact; no floats.
@@ -30,10 +30,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return normalize(
@@ -59,12 +55,6 @@ def mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return normalize(out)
-
-
-def scale(p: Poly, k) -> Poly:
-    if k == 0:
-        return ZERO
-    return tuple(c * k for c in p)
 
 
 def evaluate(p: Poly, x):
@@ -101,20 +91,6 @@ def div_exact(p: Poly, q: Poly) -> Poly:
     if any(rem[:dq]):
         raise ArithmeticError("inexact polynomial division")
     return normalize(quo)
-
-
-def bareiss_update(akk: Poly, aij: Poly, aik: Poly, akj: Poly, prev: Poly) -> Poly:
-    """One fraction-free elimination entry, (akk·aij − aik·akj) / prev, exact in Z[z]."""
-    out = [0] * max(len(akk) + len(aij) - 1, len(aik) + len(akj) - 1, 0)
-    for i, a in enumerate(akk):
-        if a:
-            for j, b in enumerate(aij):
-                out[i + j] += a * b
-    for i, a in enumerate(aik):
-        if a:
-            for j, b in enumerate(akj):
-                out[i + j] -= a * b
-    return div_exact(normalize(out), prev)
 
 
 def content(p: Poly) -> int:

@@ -126,8 +126,9 @@ class UniformExecutionSampler:
         self.start = start
         self.length = length
         system.state_index(start)
-        adsc = Analysis.of(system).adsc  # shared with a held analysis
-        self._adsc = adsc
+        # held, so that later calls on this system share its dsc and adsc
+        self._analysis = Analysis.of(system)
+        self._adsc = adsc = self._analysis.adsc
         n_nodes = len(adsc.nodes)
 
         is_end = [c.size == i for (_s, c, i) in adsc.nodes]

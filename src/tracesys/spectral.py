@@ -1,10 +1,11 @@
 """Inversion-matrix algebra, characteristic-root isolation, spectral radii.
 
 The state-indexed alternating clique polynomial matrix is exact (integer
-coefficients); its determinant is computed fraction-free; the smallest
-positive root is isolated by Sturm counts and exact-sign bisection over
-rationals, so that rational roots collapse to exact values and distinct
-algebraic roots can always be separated or proven equal.
+coefficients); its determinant is one fraction-free integer elimination at
+a power of two, read back as signed digits (Kronecker substitution); the
+smallest positive root is isolated by Sturm counts and exact-sign bisection
+over rationals, so that rational roots collapse to exact values and
+distinct algebraic roots can always be separated or proven equal.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ DEFAULT_PRECISION = Fraction(1, 10**12)
 POWER_TOL = 1e-10  # power iteration stops when successive estimates differ by less
 POWER_MAX_ITER = 100_000
 COMPARE_MAX_ROUNDS = 200  # bisection rounds before two roots count as inseparable
+BASIC_RTOL = 1e-8  # relative gap to the global radius within which an SCC is basic
+AMBIGUOUS_RTOL = 1e-6  # gaps between the two tolerances raise AmbiguousBasic
 
 
 # ---------------------------------------------------------------- matrices
@@ -72,26 +75,44 @@ def mobius_matrix(
 
 
 def determinant(pm: PolynomialMatrix) -> poly.Poly:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = pm.dim
-    if n == 0:
-        return poly.ONE
-    m = [list(row) for row in pm.entries]
-    sign = 1
-    prev = poly.ONE
+    """Exact determinant theta = det M(z), by Kronecker substitution.
+
+    Evaluation at an integer is a ring homomorphism Z[z] -> Z, so
+    theta(2^b) = det M(2^b), and fraction-free (Bareiss) elimination on
+    those integers computes it exactly whatever pivots it takes.  Expanding
+    the determinant over permutations bounds the sum of the absolute
+    coefficients of theta by the permanent of the entries' coefficient
+    sums, hence by the product of the row sums.  With 2^(b-1) above that
+    product every coefficient lies strictly between -2^(b-1) and 2^(b-1),
+    so theta is the unique sequence of signed base-2^b digits of the
+    integer determinant.
+    """
+    bound = 1
+    for row in pm.entries:
+        bound *= sum(abs(c) for e in row for c in e)
+    b = bound.bit_length() + 1
+    m = pm.evaluate(1 << b)
+    n, sign, prev = pm.dim, 1, 1
     for k in range(n - 1):
-        if poly.is_zero(m[k][k]):
-            r = next((i for i in range(k + 1, n) if not poly.is_zero(m[i][k])), None)
+        if m[k][k] == 0:
+            r = next((i for i in range(k + 1, n) if m[i][k]), None)
             if r is None:
                 return poly.ZERO
             m[k], m[r] = m[r], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot, akk = m[k], m[k][k]
+        for row in m[k + 1:]:
+            aik = row[k]
             for j in range(k + 1, n):
-                m[i][j] = poly.bareiss_update(m[k][k], m[i][j], m[i][k], m[k][j], prev)
-            m[i][k] = poly.ZERO
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign > 0 else poly.neg(m[n - 1][n - 1])
+                row[j] = (akk * row[j] - aik * pivot[j]) // prev
+        prev = akk
+    value = sign * m[n - 1][n - 1] if n else 1
+    half, coeffs = 1 << (b - 1), []
+    while value:
+        digit = ((value + half) & ((1 << b) - 1)) - half
+        coeffs.append(digit)
+        value = (value - digit) >> b
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------- root isolation
@@ -410,37 +431,29 @@ class ComponentRadiiReport:
     basic: tuple[bool, ...]
 
 
-def component_radii(
-    graph: StateCliqueGraph,
-    basic_rtol: float = 1e-8,
-    ambiguous_rtol: float = 1e-6,
-) -> ComponentRadiiReport:
+def component_radii(graph: StateCliqueGraph) -> ComponentRadiiReport:
     """Spectral radius of each SCC, with basic flags against the global radius."""
     radii = tuple(
         component_radius(graph.succ, comp) for comp in graph.condensation().components
     )
-    return radii_report(radii, basic_rtol, ambiguous_rtol)
+    return radii_report(radii)
 
 
-def radii_report(
-    radii: tuple[float, ...],
-    basic_rtol: float = 1e-8,
-    ambiguous_rtol: float = 1e-6,
-) -> ComponentRadiiReport:
+def radii_report(radii: tuple[float, ...]) -> ComponentRadiiReport:
     """Basic flags of components with the given radii; the global radius is
     their maximum.
 
     A component is basic when its radius matches the global one within
-    ``basic_rtol`` (relative); radii landing between the two tolerances are
+    ``BASIC_RTOL`` (relative); radii landing between the two tolerances are
     surfaced as an error instead of being guessed either way.
     """
     global_rho = max_radius(radii)
     basic = []
     for rho in radii:
         gap = (global_rho - rho) / global_rho if global_rho > 0 else 0.0
-        if gap <= basic_rtol:
+        if gap <= BASIC_RTOL:
             basic.append(True)
-        elif gap <= ambiguous_rtol:
+        elif gap <= AMBIGUOUS_RTOL:
             raise AmbiguousBasic(
                 f"component radius {rho} within ambiguity band of {global_rho}"
             )

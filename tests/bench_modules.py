@@ -25,13 +25,15 @@ inputs = _load("inputs")
 tracer = _load("tracer")
 
 
+def load_system(f):
+    """The system of one generated input file."""
+    from tracesys import parse_petri, parse_system, petri_to_system
+
+    return petri_to_system(parse_petri(f.text)) if f.petri else parse_system(f.text)
+
+
 def ladder_systems() -> dict:
     """phil3-phil5 and path8/path10, by name: the ladder rungs small enough
     for tier-1."""
-    from tracesys import parse_petri, parse_system, petri_to_system
-
     files = [inputs.phil_file(n) for n in (3, 4, 5)] + [inputs.path_file(k) for k in (8, 10)]
-    return {
-        f.name: petri_to_system(parse_petri(f.text)) if f.petri else parse_system(f.text)
-        for f in files
-    }
+    return {f.name: load_system(f) for f in files}

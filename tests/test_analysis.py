@@ -9,6 +9,7 @@ from tracesys.measure import uniform_measure
 from tracesys.report import analyze_report
 from tracesys.sampling import UniformExecutionSampler
 from tracesys.spectral import (
+    DEFAULT_PRECISION,
     characteristic_root,
     component_radii,
     max_radius,
@@ -116,10 +117,21 @@ def test_sampler_reads_the_held_adsc(monkeypatch):
     assert sampler._adsc is adsc
 
 
+def test_sampler_holds_its_analysis(monkeypatch):
+    system = fixtures.aztec_system()
+    counts = _count_calls(monkeypatch, [(graphs, "build_dsc"), (graphs, "build_adsc")])
+    sampler = UniformExecutionSampler(system, system.base_state, 20)
+    measure = uniform_measure(system)
+    assert counts == {"build_dsc": 1, "build_adsc": 1}
+    assert measure.dsc is sampler._analysis.dsc
+
+
 def test_root_and_measure_kept_per_precision():
-    a = Analysis(fixtures.two_state_system())
-    coarse = Fraction(1, 1000)
+    # the measure is built from a root at least as tight as the default
+    a = Analysis(fixtures.aztec_system())
+    coarse, fine = Fraction(1, 1000), Fraction(1, 10**20)
     assert a.root(coarse) is a.root(coarse)
-    assert a.measure(coarse).root is a.root(coarse)
-    assert a.measure() is not a.measure(coarse)
-    assert a.root().width < coarse
+    assert a.root(coarse).width > DEFAULT_PRECISION
+    assert a.measure(coarse) is a.measure()
+    assert a.measure().root is a.root()
+    assert a.measure(fine).root is a.root(fine)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from bench_modules import inputs
 
 from tracesys.cli import main
 from tracesys.fixtures import ALL_SYSTEMS, aztec_system, two_state_system
@@ -89,6 +90,24 @@ def test_analyze_bad_precision_is_usage_error(e1_file, value, capsys):
 def test_analyze_precision_accepts_fraction(e1_file, capsys):
     assert main(["analyze", e1_file, "--json", "--precision", "1/1000"]) == 0
     assert json.loads(capsys.readouterr().out)["root"]["exact"] is True
+
+
+@pytest.mark.parametrize(
+    "f", [inputs.fixture_file("aztec"), inputs.phil_file(4), inputs.path_file(8)],
+    ids=lambda f: f.name,
+)
+def test_analyze_coarse_precision_keeps_the_measure(f, tmp_path, capsys):
+    # the float kernel of the measure needs a tighter root than 1e-3
+    path = tmp_path / f.filename
+    path.write_text(f.text)
+    argv = ["analyze", *f.argv(str(path)), "--json"]
+    assert main(argv) == 0
+    want = json.loads(capsys.readouterr().out)
+    for precision in ("1e-3", "1/10"):
+        assert main([*argv, "--precision", precision]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["uniform_measure"] == want["uniform_measure"]
+        assert doc["root"]["width"] != want["root"]["width"]  # reported as asked
 
 
 def test_analyze_human_summary(e1_file, capsys):

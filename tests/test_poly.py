@@ -49,20 +49,6 @@ def test_div_exact_non_unit_constant_term():
     assert poly.div_exact((), (3, 1)) == ()
 
 
-def test_bareiss_update():
-    # (akk*aij - aik*akj) / prev, with prev dividing the numerator exactly
-    akk, aij, aik, akj, prev = (1, -1), (2, 0, 1), (0, 3), (1, 1), (1, 2)
-    num = poly.sub(poly.mul(akk, aij), poly.mul(aik, akj))
-    prod = poly.mul(num, prev)
-    assert poly.bareiss_update(
-        poly.mul(akk, prev), aij, poly.mul(aik, prev), akj, prev
-    ) == num
-    assert poly.bareiss_update(prod, (1,), (), (5,), prev) == num
-    assert poly.bareiss_update((), (1, 2), (3,), (), (7,)) == ()
-    with pytest.raises(ArithmeticError):
-        poly.bareiss_update((1,), (1,), (), (), (2,))
-
-
 def test_pseudo_rem_is_positive_multiple_of_remainder():
     p, q = (1, 2, 3, 4), (-1, 0, -3)  # negative leading coefficient
     # over Q, p mod q = (2/3) z; delta = 2 and |lc(q)|^2 = 9

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from bench_modules import inputs, load_system
 
-from tracesys import poly
+from tracesys import poly, spectral
 from tracesys.errors import (
     AmbiguousBasic,
     NoRootInUnitInterval,
@@ -83,6 +84,7 @@ def test_determinant_examples(e1):
         ConcurrentSystem.canonical(TraceMonoid("abc", [("a", "b")]))
     )
     assert determinant(one_by_one) == (1, -3, 1)
+    assert determinant(PolynomialMatrix((), ())) == poly.ONE
 
 
 def _fraction_determinant(m) -> Fraction:
@@ -99,44 +101,81 @@ def _fraction_determinant(m) -> Fraction:
             det = -det
         det *= a[k][k]
         for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+            if a[i][k]:  # the matrices are sparse: skip the zero updates
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[k])]
     return det
 
 
-def _random_points(rng, count=5):
-    return [Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(count)]
+def _assert_determinant(pm: PolynomialMatrix, theta: poly.Poly) -> None:
+    """Prove theta = det M(z): both have degree at most the sum of the row
+    degrees, and they agree at one point more than that."""
+    bound = sum(max(0, *(poly.degree(e) for e in row)) for row in pm.entries)
+    assert poly.degree(theta) <= bound
+    for t in range(-(bound // 2), bound - bound // 2 + 1):
+        assert poly.evaluate(theta, t) == _fraction_determinant(pm.evaluate(t))
 
 
-@pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
+DETERMINANT_SYSTEMS = {
+    **ALL_SYSTEMS,
+    **{
+        f.name: (lambda f=f: load_system(f))
+        for f in [*(inputs.phil_file(n) for n in (3, 4, 5, 6)),
+                  *(inputs.path_file(k) for k in (8, 10))]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINANT_SYSTEMS))
 def test_determinant_matches_rational_elimination(name):
-    system = ALL_SYSTEMS[name]()
-    rng = random.Random(name)
-    for sub in [system] + [system.restrict(a) for a in system.monoid.letters]:
-        pm = mobius_matrix(sub)
-        theta = determinant(pm)
-        for t in _random_points(rng):
-            assert poly.evaluate(theta, t) == _fraction_determinant(pm.evaluate(t))
+    system = DETERMINANT_SYSTEMS[name]()
+    for a in (None, *system.monoid.letters):
+        pm = mobius_matrix(system, without=a)
+        _assert_determinant(pm, determinant(pm))
 
 
 def test_determinant_generic_matrices_with_row_swaps():
-    # zero pivots and non-unit constant terms exercise the swap branch and
-    # exact division by arbitrary previous pivots
+    # zero pivots, non-unit constant terms, large coefficients and singular
+    # matrices exercise the swap branch, the exact quotients by arbitrary
+    # previous pivots and the digit bound
     rng = random.Random(2024)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        rows = tuple(
-            tuple(
-                poly.normalize(rng.randint(-3, 3) for _ in range(rng.randint(0, 3)))
-                if rng.random() < 0.7 else poly.ZERO
+    for size in (3, 10**9):
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rows = [
+                [
+                    poly.normalize(rng.randint(-size, size) for _ in range(rng.randint(0, 3)))
+                    if rng.random() < 0.7 else poly.ZERO
+                    for _ in range(n)
+                ]
                 for _ in range(n)
+            ]
+            singular = rng.random() < 0.4
+            if singular:
+                i, j = rng.randrange(n), rng.randrange(n)
+                kind = rng.choice(["row", "column", "repeat"] if n > 1 else ["row", "column"])
+                if kind == "row":
+                    rows[i] = [poly.ZERO] * n
+                elif kind == "column":
+                    for row in rows:
+                        row[j] = poly.ZERO
+                else:
+                    rows[(i + 1) % n] = list(rows[i])
+            pm = PolynomialMatrix(
+                tuple(f"s{i}" for i in range(n)), tuple(map(tuple, rows))
             )
-            for _ in range(n)
-        )
-        pm = PolynomialMatrix(tuple(f"s{i}" for i in range(n)), rows)
-        theta = determinant(pm)
-        for t in _random_points(rng, 3):
-            assert poly.evaluate(theta, t) == _fraction_determinant(pm.evaluate(t))
+            theta = determinant(pm)
+            _assert_determinant(pm, theta)
+            if singular:
+                assert theta == poly.ZERO
+
+
+@pytest.mark.parametrize("c", [1, -1, 10**9, -(10**9), 2**40, -(2**40), 2**40 - 1])
+@pytest.mark.parametrize("deg", [0, 1, 5])
+def test_determinant_one_by_one_coefficient_at_the_bound(c, deg):
+    # the coefficient is the whole bound, so it must still be one digit
+    entry = (0,) * deg + (c,)
+    assert determinant(PolynomialMatrix(("s",), ((entry,),))) == entry
 
 
 # ------------------------------------------------------------ characteristic root
@@ -328,11 +367,13 @@ def test_component_radii_terminal_equals_basic(aztec, twelve):
         assert tuple(b for b in rep.basic) == tuple(cond.terminal)
 
 
-def test_component_radii_ambiguity_surfaces(e1):
+def test_component_radii_ambiguity_surfaces(e1, monkeypatch):
     adsc = build_adsc(e1)
     # an artificial band wide enough to catch the null component's radius
+    monkeypatch.setattr(spectral, "BASIC_RTOL", 1e-12)
+    monkeypatch.setattr(spectral, "AMBIGUOUS_RTOL", 1.0)
     with pytest.raises(AmbiguousBasic):
-        component_radii(adsc, basic_rtol=1e-12, ambiguous_rtol=1.0)
+        component_radii(adsc)
 
 
 # ------------------------------------------------------------ spectral property
