@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 analysis-level failure (an expectation or a
 cross-check did not hold), 2 input errors (unreadable, unparsable or
-invalid input files).
+invalid input files, or an ``export-dot -o`` path that cannot be written).
 """
 
 from __future__ import annotations
@@ -241,8 +241,12 @@ def _cmd_export_dot(system: ConcurrentSystem, args) -> int:
         graph = analysis.dsc if args.graph == "dsc" else analysis.adsc
         text = dot_mod.dot_state_clique_graph(graph)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -252,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         system = _load_system(args.file, args.petri)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TraceSysError as exc:

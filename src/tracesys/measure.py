@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import StateCliqueGraph
 from .monoid import Clique
-from .spectral import DEFAULT_PRECISION, CharacteristicRoot, growth_eval, radii_report
+from .spectral import DEFAULT_PRECISION, CharacteristicRoot, growth_row_sums, radii_report
 from .system import ConcurrentSystem
 
 ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
@@ -92,8 +92,7 @@ def kernel_cocycle(
         raise NonPositiveKernelVector(f"kernel vector has non-positive entries: {u}")
 
     t = mid * (1 - Fraction(1, 10**6))
-    growth = growth_eval(system, t, root)
-    row_sums = [float(sum(row)) for row in growth]
+    row_sums = [float(v) for v in growth_row_sums(system, t, root)]
     err = 0.0
     for i in range(len(system.states)):
         for j in range(len(system.states)):

@@ -1,8 +1,9 @@
 """Inversion-matrix algebra, characteristic-root isolation, spectral radii.
 
 The state-indexed alternating clique polynomial matrix is exact (integer
-coefficients); its determinant is one fraction-free integer elimination at
-a power of two, read back as signed digits (Kronecker substitution); the
+coefficients).  One fraction-free integer elimination gives its determinant
+at a power of two, read back as signed digits (Kronecker substitution), and
+the growth matrix and its row sums below the root, from q^D·M(p/q); the
 smallest positive root is isolated by Sturm counts and exact-sign bisection
 over rationals, so that rational roots collapse to exact values and
 distinct algebraic roots can always be separated or proven equal.
@@ -74,39 +75,56 @@ def mobius_matrix(
     )
 
 
-def determinant(pm: PolynomialMatrix) -> poly.Poly:
-    """Exact determinant theta = det M(z), by Kronecker substitution.
+def fraction_free_solve(m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """det A and X = adj(A)·B for an integer matrix m = [A | B], A n×n.
 
-    Evaluation at an integer is a ring homomorphism Z[z] -> Z, so
-    theta(2^b) = det M(2^b), and fraction-free (Bareiss) elimination on
-    those integers computes it exactly whatever pivots it takes.  Expanding
-    the determinant over permutations bounds the sum of the absolute
-    coefficients of theta by the permanent of the entries' coefficient
-    sums, hence by the product of the row sums.  With 2^(b-1) above that
-    product every coefficient lies strictly between -2^(b-1) and 2^(b-1),
-    so theta is the unique sequence of signed base-2^b digits of the
-    integer determinant.
+    Bareiss elimination divides each update exactly by the previous pivot
+    (Sylvester's identity), so the last pivot is det A up to the sign of
+    the row swaps.  X = det(A)·A^-1·B is integer, so the back substitution
+    divides exactly too.  A singular A gives 0 and X = 0.  B may have no
+    columns; ``m`` is overwritten.
     """
-    bound = 1
-    for row in pm.entries:
-        bound *= sum(abs(c) for e in row for c in e)
-    b = bound.bit_length() + 1
-    m = pm.evaluate(1 << b)
-    n, sign, prev = pm.dim, 1, 1
-    for k in range(n - 1):
+    n = len(m)
+    w = len(m[0]) if n else 0
+    sign, prev = 1, 1
+    for k in range(n):
         if m[k][k] == 0:
             r = next((i for i in range(k + 1, n) if m[i][k]), None)
             if r is None:
-                return poly.ZERO
+                return 0, [[0] * (w - n) for _ in range(n)]
             m[k], m[r] = m[r], m[k]
             sign = -sign
         pivot, akk = m[k], m[k][k]
         for row in m[k + 1:]:
             aik = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, w):
                 row[j] = (akk * row[j] - aik * pivot[j]) // prev
         prev = akk
-    value = sign * m[n - 1][n - 1] if n else 1
+    det = sign * prev
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        for c in range(n, w):
+            row[c] = (det * row[c] - sum(row[j] * m[j][c] for j in range(i + 1, n))) // row[i]
+    return det, [row[n:] for row in m]
+
+
+def determinant(pm: PolynomialMatrix) -> poly.Poly:
+    """Exact determinant theta = det M(z), by Kronecker substitution.
+
+    Evaluation at an integer is a ring homomorphism Z[z] -> Z, so
+    theta(2^b) = det M(2^b), which :func:`fraction_free_solve` computes
+    exactly.  Expanding the determinant over permutations bounds the sum of
+    the absolute coefficients of theta by the permanent of the entries'
+    coefficient sums, hence by the product of the row sums.  With 2^(b-1)
+    above that product every coefficient lies strictly between -2^(b-1) and
+    2^(b-1), so theta is the unique sequence of signed base-2^b digits of
+    the integer determinant.
+    """
+    bound = 1
+    for row in pm.entries:
+        bound *= sum(abs(c) for e in row for c in e)
+    b = bound.bit_length() + 1
+    value, _ = fraction_free_solve(pm.evaluate(1 << b))
     half, coeffs = 1 << (b - 1), []
     while value:
         digit = ((value + half) & ((1 << b) - 1)) - half
@@ -283,6 +301,23 @@ def growth_eval(
     root: CharacteristicRoot | None = None,
 ) -> list[list[Fraction]]:
     """Growth matrix at a rational point below the root: exact inverse."""
+    n = len(system.states)
+    return _growth_solve(system, t, root, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def growth_row_sums(
+    system: ConcurrentSystem, t: Fraction | int, root: CharacteristicRoot
+) -> list[Fraction]:
+    """Row sums of :func:`growth_eval`, from the one column B = 1."""
+    return [v for (v,) in _growth_solve(system, t, root, [[1]] * len(system.states))]
+
+
+def _growth_solve(
+    system: ConcurrentSystem, t: Fraction | int, root: CharacteristicRoot | None, b: list
+) -> list[list[Fraction]]:
+    """M(t)^-1·B exactly, as X / det for q^D·M(t)·X = det·q^D·B, where
+    t = p/q and D is the largest entry degree.  M(t) is invertible below
+    the root: theta(0) = 1 and theta has no root in (0, root)."""
     t = Fraction(t)
     if t < 0:
         raise TraceSysError("evaluation point must be non-negative")
@@ -292,29 +327,12 @@ def growth_eval(
         raise SingularAtT(f"{t} is not below the isolating interval of the root")
     from .analysis import Analysis
 
-    m = Analysis.of(system).mobius.evaluate(t)
-    return _invert_fraction_matrix(m)
-
-
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            raise SingularAtT("matrix is singular at this evaluation point")
-        a[k], a[p] = a[p], a[k]
-        inv[k], inv[p] = inv[p], inv[k]
-        pivot = a[k][k]
-        a[k] = [x / pivot for x in a[k]]
-        inv[k] = [x / pivot for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return inv
+    pm = Analysis.of(system).mobius
+    q = t.denominator ** max(poly.degree(e) for row in pm.entries for e in row)
+    det, x = fraction_free_solve(
+        [[int(v * q) for v in row] + [q * c for c in cs] for row, cs in zip(pm.evaluate(t), b)]
+    )
+    return [[Fraction(v, det) for v in row] for row in x]
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,13 @@ def test_input_error_exit_code(tmp_path, capsys):
     path.write_text("[alphabet] a\n[action]\n")
     assert main(["check", str(path)]) == 2
     assert main(["check", str(tmp_path / "absent.csys")]) == 2
+    capsys.readouterr()
+    binary = tmp_path / "binary.csys"
+    binary.write_bytes(b"\xff\xfe[alphabet] a\n")
+    for command in ("check", "analyze"):
+        assert main([command, str(binary)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input: ") and err.count("\n") == 1
 
 
 def test_analyze_json(e1_file, capsys):
@@ -171,6 +178,15 @@ def test_export_dot_file(e1_file, tmp_path, capsys):
     assert "digraph condensation" in capsys.readouterr().out
     assert main(["export-dot", e1_file, "--graph", "adsc"]) == 0
     assert "digraph adsc" in capsys.readouterr().out
+
+
+def test_export_dot_unwritable_output_exit_code(e1_file, tmp_path, capsys):
+    for out in (tmp_path / "absent" / "x.dot", tmp_path):
+        assert main(["export-dot", e1_file, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_petri_input(tmp_path, capsys):

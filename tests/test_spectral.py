@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from bench_modules import inputs, load_system
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracesys import poly, spectral
 from tracesys.errors import (
@@ -22,7 +24,9 @@ from tracesys.spectral import (
     compare_roots,
     component_radii,
     determinant,
+    fraction_free_solve,
     growth_eval,
+    growth_row_sums,
     mobius_matrix,
     root_from_theta,
     spectral_property_report,
@@ -178,6 +182,44 @@ def test_determinant_one_by_one_coefficient_at_the_bound(c, deg):
     assert determinant(PolynomialMatrix(("s",), ((entry,),))) == entry
 
 
+@st.composite
+def augmented_matrices(draw):
+    """An integer matrix [A | B], A n×n with n <= 5, B with up to 3 columns.
+
+    Small entries and many zeros give zero pivots (row swaps) and singular
+    matrices; a repeated row of A makes it singular for certain.
+    """
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(0, 3))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**12), 10**12))
+    m = [draw(st.lists(entry, min_size=n + k, max_size=n + k)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        m[j][:n] = m[i][:n]
+    return n, m
+
+
+@given(augmented_matrices())
+@example((0, []))
+@example((1, [[0, 5]]))
+@example((1, [[-3, 2, 7]]))
+@example((2, [[0, 1, 1], [1, 0, 1]]))
+@example((2, [[1, 2, 1], [2, 4, 1]]))
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_solve_det_and_adjugate_product(case):
+    n, m = case
+    a = [row[:n] for row in m]
+    b = [row[n:] for row in m]
+    det, x = fraction_free_solve([list(row) for row in m])
+    assert det == _fraction_determinant(a)
+    assert len(x) == n and all(len(row) == len(b[i]) for i, row in enumerate(x))
+    for i in range(n):
+        for c in range(len(b[i])):
+            assert sum(a[i][j] * x[j][c] for j in range(n)) == det * b[i][c]
+    if det == 0:
+        assert all(v == 0 for row in x for v in row)
+
+
 # ------------------------------------------------------------ characteristic root
 
 def test_root_e1_exact(e1):
@@ -298,6 +340,36 @@ def test_growth_positive_entries(aztec):
     root = characteristic_root(aztec)
     g = growth_eval(aztec, Fraction(2, 5), root)
     assert all(v > 0 for row in g for v in row)
+
+
+def _invert_fraction_matrix(m):
+    """Reference: Gauss-Jordan inversion over the rationals."""
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[p] = a[p], a[k]
+        inv[k], inv[p] = inv[p], inv[k]
+        pivot = a[k][k]
+        a[k] = [x / pivot for x in a[k]]
+        inv[k] = [x / pivot for x in inv[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
+    return inv
+
+
+def test_growth_eval_matches_rational_inverse(reference_systems):
+    # at the cocycle cross-check's evaluation point, just below the root
+    for name, system in reference_systems.items():
+        root = characteristic_root(system)
+        t = root.midpoint * (1 - Fraction(1, 10**6))
+        want = _invert_fraction_matrix(mobius_matrix(system).evaluate(t))
+        assert growth_eval(system, t, root) == want, name
+        assert growth_row_sums(system, t, root) == [sum(row) for row in want], name
 
 
 # ------------------------------------------------------------ inversion identity
