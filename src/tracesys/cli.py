@@ -1,14 +1,16 @@
 """Command-line surface: check, analyze, sample, oracle, export-dot.
 
 Exit codes: 0 success, 1 analysis-level failure (an expectation or a
-cross-check did not hold), 2 input errors (unreadable, unparsable or
-invalid input files, or an ``export-dot -o`` path that cannot be written).
+cross-check did not hold) or a reader that closed stdout early, 2 input
+errors (unreadable, unparsable or invalid input files, or an
+``export-dot -o`` path that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -71,6 +73,51 @@ def _int_in(lo: int, hi: int | None = None):
 _non_negative_int = _int_in(0)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def format_json(obj: object) -> str:
+    """The stdlib's two-space indented JSON text of ``obj``, byte for byte,
+    at the C encoder's speed.
+
+    The stdlib serves ``indent`` only from its pure-Python encoder.  Here the
+    indented frame of dicts and of lists holding containers is written in
+    Python, and every key, scalar and list of scalars goes to the C encoder
+    (which ``json.dumps`` uses whenever ``indent`` is None) with the frame's
+    separators.  Keys must be str.
+    """
+    parts: list[str] = []
+    _format_into(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _format_into(obj: object, newline: str, parts: list[str]) -> None:
+    """Append the indented text of ``obj``, nested at the depth of ``newline``."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        parts.append(json.dumps(obj))
+        return
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += (sep, json.dumps(key), ": ")
+            _format_into(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _format_into(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        parts += ("[", inner, text[1:-1], newline, "]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracesys",
@@ -129,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_check(system: ConcurrentSystem, args) -> int:
     cls = system.classify()
     if args.json:
-        print(json.dumps(report_mod.classification_json(system), indent=2))
+        print(format_json(report_mod.classification_json(system)))
     else:
         print(f"states={len(system.states)} letters={len(system.monoid.letters)}")
         print(f"trivial={cls.trivial} accessible={cls.accessible} alive={cls.alive}")
@@ -147,7 +194,7 @@ def _cmd_analyze(system: ConcurrentSystem, args) -> int:
         system, precision=args.precision, series_order=args.series_order
     )
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(format_json(doc))
     else:
         _print_summary(doc)
     if args.expect_irreducible:
@@ -227,7 +274,7 @@ def _cmd_sample(system: ConcurrentSystem, args) -> int:
 
 def _cmd_oracle(system: ConcurrentSystem, args) -> int:
     doc = report_mod.oracle_report(system, args.max_len)
-    print(json.dumps(doc, indent=2))
+    print(format_json(doc))
     return EXIT_OK if doc["ok"] else EXIT_ANALYSIS
 
 
@@ -275,9 +322,17 @@ def main(argv: list[str] | None = None) -> int:
         "export-dot": _cmd_export_dot,
     }[args.command]
     try:
-        return handler(system, args)
+        code = handler(system, args)
+        sys.stdout.flush()
+        return code
     except TraceSysError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so that the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return EXIT_ANALYSIS
 
 

@@ -147,7 +147,7 @@ def analyze_report(
             "mcsc": {
                 "nodes": [f"({s},{_clique_key(c)})" for s, c in m.dsc.nodes],
                 "initial": _table_json(m.initial),
-                "matrix": [[float(x) for x in row] for row in m.transition],
+                "matrix": m.transition.tolist(),
                 "unreachable": [bool(b) for b in m.unreachable],
             },
             "cocycle_crosscheck_error": m.cocycle_crosscheck_error,

@@ -424,18 +424,22 @@ def component_radius(succ: Adjacency, comp: Sequence[int]) -> float:
 
 
 def _power_radius(succ: Adjacency) -> float:
-    """Rayleigh power iteration on (F + Id) for a strongly connected graph."""
+    """Rayleigh power iteration on (F + Id) for a strongly connected graph.
+
+    One product per step: y = (F + Id)x both gives the Rayleigh quotient of
+    x and, normalised, the next iterate.
+    """
     n = len(succ)
     f = np.zeros((n, n))
     for v, out in enumerate(succ):
-        for w in out:
-            f[v, w] = 1.0
+        f[v, out] = 1.0
     x = np.ones(n) / np.sqrt(n)
+    y = x + f @ x
     lam_prev = None
     for _ in range(POWER_MAX_ITER):
-        y = x + f @ x
         x = y / np.linalg.norm(y)
-        lam = float(x @ (x + f @ x))
+        y = x + f @ x
+        lam = float(x @ y)
         if lam_prev is not None and abs(lam - lam_prev) <= POWER_TOL:
             return lam - 1.0
         lam_prev = lam

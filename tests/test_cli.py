@@ -1,9 +1,19 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from bench_modules import inputs
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tracesys.cli import main
+import tracesys
+from tracesys import report as report_mod
+from tracesys.cli import format_json, main
 from tracesys.fixtures import ALL_SYSTEMS, aztec_system, two_state_system
 from tracesys.specfile import render_system
 
@@ -246,3 +256,70 @@ def test_oracle_cap_is_authoritative(e1_file, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"between 0 and {oracle.DEFAULT_CAP}" in err
+
+
+@pytest.mark.parametrize("command, lines", [("analyze", 1), ("check", 0)])
+def test_closed_stdout_exits_without_traceback(command, lines, tmp_path):
+    # path10's analyze report (about 0.5 MB) outgrows the pipe buffer, so the
+    # writer is still printing when the reader closes after one line.  The
+    # few lines of check stay in the block buffer of a piped stdout until
+    # main flushes them; there the reader is gone before the process starts.
+    f = inputs.path_file(10)
+    path = tmp_path / f.filename
+    path.write_text(f.text)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(tracesys.__file__).parents[1])
+    argv = [sys.executable, "-m", "tracesys", command, *f.argv(str(path)), "--json"]
+    r, w = os.pipe()
+    if not lines:
+        os.close(r)
+    with subprocess.Popen(argv, stdout=w, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(w)
+        if lines:
+            with open(r, "rb") as reader:
+                for _ in range(lines):
+                    assert reader.readline() == b"{\n"
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+# ------------------------------------------------------------ report writer
+
+json_keys = st.text() | st.sampled_from(["é", "\"", "\\", "\x00\x1f\x7f", " ", "😀"])
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | json_keys
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(json_keys, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example({"a": {}, "b": [[], {}, ()], "c": [[{}]]})
+@example([[1, 2], [3.5, None], ["x", True]])
+def test_format_json_is_stdlib_indent_2(obj):
+    assert format_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_format_json_on_every_reference_report(reference_systems):
+    for name, system in reference_systems.items():
+        doc = report_mod.analyze_report(system)
+        assert format_json(doc) == json.dumps(doc, indent=2), name
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: []}}, [{"x": {1.5: 0}}]])
+def test_format_json_refuses_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        format_json(obj)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from bench_modules import inputs, load_system
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tracesys import poly, spectral
 from tracesys.errors import (
     AmbiguousBasic,
+    NonConvergence,
     NoRootInUnitInterval,
     NotAccessible,
     SingularAtT,
@@ -16,7 +18,7 @@ from tracesys.errors import (
     TrivialSystem,
 )
 from tracesys.fixtures import ALL_SYSTEMS
-from tracesys.graphs import build_adsc, build_dsc, classify_nodes
+from tracesys.graphs import build_adsc, build_dsc, classify_nodes, tarjan_sccs
 from tracesys.monoid import TraceMonoid
 from tracesys.spectral import (
     PolynomialMatrix,
@@ -446,6 +448,68 @@ def test_component_radii_ambiguity_surfaces(e1, monkeypatch):
     monkeypatch.setattr(spectral, "AMBIGUOUS_RTOL", 1.0)
     with pytest.raises(AmbiguousBasic):
         component_radii(adsc)
+
+
+def _two_product_power_radius(succ):
+    """The power iteration as first written: two products (F + Id)x per
+    step, one for the next iterate and one for the Rayleigh quotient."""
+    n = len(succ)
+    f = np.zeros((n, n))
+    for v, out in enumerate(succ):
+        for w in out:
+            f[v, w] = 1.0
+    x = np.ones(n) / np.sqrt(n)
+    lam_prev = None
+    for _ in range(spectral.POWER_MAX_ITER):
+        y = x + f @ x
+        x = y / np.linalg.norm(y)
+        lam = float(x @ (x + f @ x))
+        if lam_prev is not None and abs(lam - lam_prev) <= spectral.POWER_TOL:
+            return lam - 1.0
+        lam_prev = lam
+    raise NonConvergence("reference power iteration did not converge")
+
+
+def _cyclic_components(succ):
+    """The subgraph induced on each SCC with a cycle, renumbered from 0."""
+    for comp in tarjan_sccs(succ):
+        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+            continue
+        remap = {v: i for i, v in enumerate(comp)}
+        yield tuple(tuple(remap[w] for w in succ[v] if w in remap) for v in comp)
+
+
+def test_power_radius_bit_equal_to_two_product_loop(reference_systems):
+    checked = 0
+    for name, system in reference_systems.items():
+        for graph in (build_dsc(system), build_adsc(system)):
+            for sub in _cyclic_components(graph.succ):
+                assert spectral._power_radius(sub) == _two_product_power_radius(sub), name
+                checked += 1
+    assert checked >= 2 * len(reference_systems)
+
+
+@st.composite
+def strongly_connected_digraphs(draw):
+    """A random Hamiltonian cycle (a self-loop when n = 1) plus random arcs."""
+    n = draw(st.integers(1, 24))
+    order = draw(st.permutations(range(n)))
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    node = st.integers(0, n - 1)
+    arcs |= set(draw(st.lists(st.tuples(node, node), max_size=3 * n)))
+    return tuple(tuple(sorted(w for u, w in arcs if u == v)) for v in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strongly_connected_digraphs())
+def test_power_radius_bit_equal_on_random_strong_digraphs(succ):
+    assert spectral._power_radius(succ) == _two_product_power_radius(succ)
+
+
+def test_power_radius_one_step_does_not_converge(monkeypatch):
+    monkeypatch.setattr(spectral, "POWER_MAX_ITER", 1)
+    with pytest.raises(NonConvergence):
+        spectral._power_radius(((1,), (0,)))
 
 
 # ------------------------------------------------------------ spectral property
