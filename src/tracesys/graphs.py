@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import TraceSysError
-from .monoid import Clique
-from .system import ConcurrentSystem
+
+if TYPE_CHECKING:
+    from .system import ConcurrentSystem
 
 Adjacency = tuple[tuple[int, ...], ...]
 

@@ -20,6 +20,7 @@ from .errors import (
     UnknownLetter,
     UnknownLetterInPair,
 )
+from .graphs import tarjan_sccs
 
 ALPHABET_CAP = 20
 
@@ -250,23 +251,13 @@ class TraceMonoid:
     def coxeter_components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the dependence graph, in letter order."""
         n = len(self.letters)
-        seen = [False] * n
-        comps = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            comp, queue = [], [s]
-            seen[s] = True
-            while queue:
-                i = queue.pop()
-                comp.append(i)
-                dep = self._dep_mask(i) & ~(1 << i)
-                for j in range(n):
-                    if dep >> j & 1 and not seen[j]:
-                        seen[j] = True
-                        queue.append(j)
-            comps.append(tuple(self.letters[i] for i in sorted(comp)))
-        return tuple(comps)
+        adj = tuple(
+            tuple(j for j in range(n) if j != i and self._dep_mask(i) >> j & 1)
+            for i in range(n)
+        )
+        return tuple(
+            tuple(self.letters[i] for i in comp) for comp in sorted(tarjan_sccs(adj))
+        )
 
     def is_irreducible(self) -> bool:
         """True iff the Coxeter graph (letters, dependence) is connected."""

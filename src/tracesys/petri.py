@@ -45,13 +45,16 @@ def parse_petri(text: str) -> SafePetriNet:
         if not sections[required]:
             raise ParseError(0, f"missing [{required}] section")
 
-    places = [tok for _ln, chunk in sections["places"] for tok in chunk.split()]
-    transitions = [
-        tok for _ln, chunk in sections["transitions"] for tok in chunk.split()
-    ]
+    kind: dict[str, str] = {}  # declared name -> its section
+    for section in ("places", "transitions"):
+        for line_no, chunk in sections[section]:
+            for tok in chunk.split():
+                if tok in kind:
+                    raise ParseError(line_no, f"{tok!r} is declared twice")
+                kind[tok] = section
+    places = [x for x, k in kind.items() if k == "places"]
+    transitions = [x for x, k in kind.items() if k == "transitions"]
     place_set, trans_set = set(places), set(transitions)
-    if place_set & trans_set:
-        raise ParseError(0, "places and transitions must have distinct names")
 
     pre = {t: set() for t in transitions}
     post = {t: set() for t in transitions}

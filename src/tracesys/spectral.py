@@ -19,7 +19,7 @@ import numpy as np
 
 from . import poly
 from .errors import AmbiguousBasic, NonConvergence, SingularAtT, TraceSysError
-from .graphs import Adjacency, StateCliqueGraph
+from .graphs import Adjacency, StateCliqueGraph, count_paths_table, tarjan_sccs
 from .system import ConcurrentSystem
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
@@ -350,7 +350,6 @@ def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
     to the identity.
     """
     from .analysis import Analysis
-    from .graphs import count_paths_table
 
     analysis = Analysis.of(system)
     pm = analysis.mobius
@@ -403,8 +402,6 @@ def spectral_radius(succ: Adjacency) -> float:
     whole graph instead can stall: a reducible matrix may be defective at
     its dominant eigenvalue.  Acyclic graphs short-circuit to 0.
     """
-    from .graphs import tarjan_sccs
-
     return max_radius(component_radius(succ, comp) for comp in tarjan_sccs(succ))
 
 

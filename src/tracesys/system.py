@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DiamondViolation, NotAccessible, TraceSysError, UnknownState
+from .graphs import tarjan_sccs
 from .monoid import Clique, TraceMonoid
 
 
@@ -138,18 +139,6 @@ class ConcurrentSystem:
             a for i, a in enumerate(self.monoid.letters) if self._table[si][i] >= 0
         )
 
-    # ------------------------------------------------------------ letter digraph
-
-    def letter_graph(self) -> tuple[tuple[int, ...], ...]:
-        """One-letter multigraph of states collapsed to plain adjacency."""
-        n = len(self.states)
-        succ = [set() for _ in range(n)]
-        for si in range(n):
-            for ti in self._table[si]:
-                if ti >= 0:
-                    succ[si].add(ti)
-        return tuple(tuple(sorted(s)) for s in succ)
-
     def letter_arcs(self) -> tuple[tuple[str, str, str], ...]:
         """Labeled arcs (state, letter, target) of the multigraph of states."""
         return tuple(
@@ -160,47 +149,64 @@ class ConcurrentSystem:
             if ti >= 0
         )
 
-    def _reachable(self, si: int) -> set[int]:
-        succ = self.letter_graph()
-        seen = {si}
-        queue = [si]
-        while queue:
-            u = queue.pop()
-            for v in succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
     # ------------------------------------------------------------ classification
 
     def classify(self) -> SystemClassification:
+        """One SCC pass over the state graph, linear in states and arcs.
+
+        Tarjan lists each component after every component it reaches, so one
+        sweep gathers the letters enabled at or below each component.  The
+        system is accessible iff there is one component; only the last-listed
+        one can reach all others, so at most two searches find the first
+        unreachable (state, target) pair in state order.
+        """
         if self._classification is not None:
             return self._classification
 
         n = len(self.states)
-        trivial = all(t < 0 for row in self._table for t in row)
+        succ = tuple(tuple(t for t in row if t >= 0) for row in self._table)
+        trivial = not any(succ)
 
-        reach = [self._reachable(si) for si in range(n)]
-        unreachable = next(
+        comps = tarjan_sccs(succ)
+        comp_of = [0] * n
+        alive_mask = [0] * len(comps)  # letters enabled somewhere reachable
+        for ci, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = ci
+            for v in comp:
+                for ai, t in enumerate(self._table[v]):
+                    if t >= 0:
+                        alive_mask[ci] |= 1 << ai | alive_mask[comp_of[t]]
+
+        def reach(si: int) -> list[bool]:
+            seen = [False] * n
+            seen[si] = True
+            stack = [si]
+            while stack:
+                for t in succ[stack.pop()]:
+                    if not seen[t]:
+                        seen[t] = True
+                        stack.append(t)
+            return seen
+
+        unreachable = None
+        if len(comps) > 1:
+            si, seen = 0, reach(0)
+            if all(seen):  # so state 0 lies in the last-listed component
+                si = next(v for v, ci in enumerate(comp_of) if ci != len(comps) - 1)
+                seen = reach(si)
+            unreachable = (self.states[si], self.states[seen.index(False)])
+        accessible = unreachable is None
+
+        dead = next(
             (
-                (self.states[si], self.states[ti])
-                for si in range(n)
-                for ti in range(n)
-                if ti not in reach[si]
+                (s, a)
+                for s, ci in zip(self.states, comp_of)
+                for ai, a in enumerate(self.monoid.letters)
+                if not alive_mask[ci] >> ai & 1
             ),
             None,
         )
-        accessible = unreachable is None
-
-        dead = None
-        for si in range(n):
-            for ai, a in enumerate(self.monoid.letters):
-                if not any(self._table[ti][ai] >= 0 for ti in reach[si]):
-                    dead = (self.states[si], a)
-                    break
-            if dead:
-                break
         alive = dead is None
 
         monoid_irr = self.monoid.is_irreducible()

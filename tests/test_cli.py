@@ -78,6 +78,10 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert main([command, str(binary)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read input: ") and err.count("\n") == 1
+    twice = tmp_path / "twice.pn"
+    twice.write_text("[places] p p\n[transitions] t\n[flow]\np -> t, t -> p\n[marking] p\n")
+    assert main(["check", str(twice), "--petri"]) == 2
+    assert capsys.readouterr().err == "error: line 1: 'p' is declared twice\n"
 
 
 def test_analyze_json(e1_file, capsys):

@@ -130,3 +130,14 @@ s -> t
     nets.append(shared)
     for text in nets:
         petri_to_system(parse_petri(text))
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("[places] p p\n[transitions] t\n[flow]\n[marking] p\n", 1),
+    ("[places] p\n[transitions] t\nu t\n[flow]\n[marking] p\n", 3),
+    ("[places] p\n[transitions] p\n[flow]\n[marking] p\n", 2),
+])
+def test_name_declared_twice(text, line_no):
+    with pytest.raises(ParseError) as exc:
+        parse_petri(text)
+    assert exc.value.line_no == line_no

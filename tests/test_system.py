@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from tracesys.errors import DiamondViolation, NotAccessible, UnknownLetter, Unkn
 from tracesys.fixtures import two_state_system
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import enumerate_executions
-from tracesys.system import ConcurrentSystem
+from tracesys.system import ConcurrentSystem, SystemClassification
 
 
 def e1_without(*removed):
@@ -137,6 +139,152 @@ def test_classify_trivial():
     system = ConcurrentSystem(monoid, ["s"], {})
     cls = system.classify()
     assert cls.trivial and not cls.alive
+
+
+def reference_coxeter_components(monoid):
+    """Connected components of the dependence graph by breadth-first search."""
+    seen, comps = set(), []
+    for start in monoid.letters:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [start], [start]
+        while queue:
+            a = queue.pop()
+            for b in monoid.letters:
+                if b not in seen and monoid.dependent(a, b):
+                    seen.add(b)
+                    comp.append(b)
+                    queue.append(b)
+        comps.append(tuple(sorted(comp, key=monoid.letter_index)))
+    return tuple(comps)
+
+
+def reference_classify(system):
+    """Classification by one search per state, each keeping its reach set."""
+    states, letters = system.states, system.monoid.letters
+    reach = {}
+    for s in states:
+        seen, queue = {s}, [s]
+        while queue:
+            u = queue.pop()
+            for a in letters:
+                t = system.act(u, [a])
+                if t is not None and t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        reach[s] = seen
+    unreachable = next(
+        ((s, t) for s in states for t in states if t not in reach[s]), None
+    )
+    dead = next(
+        (
+            (s, a)
+            for s in states
+            for a in letters
+            if all(system.act(t, [a]) is None for t in reach[s])
+        ),
+        None,
+    )
+    coxeter = reference_coxeter_components(system.monoid)
+    witnesses = {}
+    if unreachable:
+        witnesses["unreachable"] = unreachable
+    if dead:
+        witnesses["dead"] = dead
+    if len(coxeter) > 1:
+        witnesses["coxeter_components"] = coxeter
+    return SystemClassification(
+        trivial=not system.letter_arcs(),
+        accessible=unreachable is None,
+        alive=dead is None,
+        monoid_irreducible=len(coxeter) == 1,
+        irreducible=unreachable is None and dead is None and len(coxeter) == 1,
+        witnesses=witnesses,
+    )
+
+
+@st.composite
+def random_systems(draw):
+    """Random tables with sink entries, so with unreachable states and dead
+    letters; any letter pair that commutes at every state may be declared
+    independent."""
+    n = draw(st.integers(1, 7))
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    k = len(letters)
+    table = draw(st.lists(
+        st.lists(st.none() | st.integers(0, n - 1), min_size=k, max_size=k),
+        min_size=n, max_size=n,
+    ))
+
+    def step(si, ai):
+        return None if si is None else table[si][ai]
+
+    commuting = [
+        (letters[i], letters[j])
+        for i in range(k)
+        for j in range(i + 1, k)
+        if all(step(step(s, i), j) == step(step(s, j), i) for s in range(n))
+    ]
+    pairs = draw(st.lists(st.sampled_from(commuting), unique=True)) if commuting else []
+    states = [f"s{i}" for i in range(n)]
+    action = {
+        (states[si], letters[ai]): states[t]
+        for si, row in enumerate(table)
+        for ai, t in enumerate(row)
+        if t is not None
+    }
+    return ConcurrentSystem(TraceMonoid(letters, pairs), states, action)
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_systems())
+def test_classify_matches_per_state_search(system):
+    assert system.classify() == reference_classify(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coxeter_components_match_bfs(data):
+    n = data.draw(st.integers(1, 20))
+    letters = [f"x{i}" for i in range(n)]
+    # letters in different blocks are independent; within a block, some are
+    block = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = data.draw(st.sets(st.sampled_from(all_pairs))) if all_pairs else set()
+    pairs = [
+        (letters[i], letters[j])
+        for i, j in all_pairs
+        if block[i] != block[j] or (i, j) in extra
+    ]
+    monoid = TraceMonoid(letters, pairs)
+    assert monoid.coxeter_components() == reference_coxeter_components(monoid)
+
+
+def torus_system(m):
+    """Product of three m-cycles, one letter per coordinate: m**3 states."""
+    def name(i, j, k):
+        return f"{i % m}.{j % m}.{k % m}"
+
+    cells = [(i, j, k) for i in range(m) for j in range(m) for k in range(m)]
+    action = {}
+    for i, j, k in cells:
+        action[(name(i, j, k), "a")] = name(i + 1, j, k)
+        action[(name(i, j, k), "b")] = name(i, j + 1, k)
+        action[(name(i, j, k), "c")] = name(i, j, k + 1)
+    return ConcurrentSystem(TraceMonoid("abc", []), [name(*c) for c in cells], action)
+
+
+def test_classify_memory_is_linear():
+    system = torus_system(10)
+    tracemalloc.start()
+    try:
+        cls = system.classify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cls.irreducible
+    assert peak < 4 * 2**20, f"classifying 1000 states peaked at {peak} bytes"
 
 
 # ------------------------------------------------------------ restriction
