@@ -22,7 +22,6 @@ from .graphs import StateCliqueGraph, build_adsc, build_dsc, classify_nodes
 from .measure import (
     UniformMeasure,
     fibred_valuation,
-    g_table,
     kernel_cocycle,
     mcsc_tables,
     mobius_transform,
@@ -136,8 +135,7 @@ class Analysis:
             u, err = kernel_cocycle(system, root)
             f = fibred_valuation(system, root, u)
             h = mobius_transform(system, f)
-            g = g_table(system, h, self.dsc)
-            initial, transition, unreachable = mcsc_tables(system, h, g, self.dsc)
+            g, initial, transition, unreachable = mcsc_tables(system, h, self.dsc)
             m = UniformMeasure(
                 system=system,
                 root=root,

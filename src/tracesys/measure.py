@@ -126,59 +126,56 @@ def fibred_valuation(
 def mobius_transform(
     system: ConcurrentSystem, f: dict[str, dict[Clique, float]]
 ) -> dict[str, dict[Clique, float]]:
-    """Alternating superset sum over the inclusion order on cliques."""
-    cliques = system.monoid.cliques()
+    """h_a(c): the alternating superset sum of f_a over the inclusion order.
+
+    f_a vanishes off the cliques enabled at a, so the sum runs over the
+    enabled supersets d of c only, in canonical order: O(enabled·cliques)
+    per state.  A disabled d would add ±0.0, and a sum that starts at +0.0
+    never becomes -0.0, so leaving those terms out changes no bit.  Every
+    clique gets an entry, 0.0 where no enabled clique contains it.
+    """
     h: dict[str, dict[Clique, float]] = {}
     for s in system.states:
+        fs, enabled = f[s], system.cliques_from(s)
         row = {}
-        for c in cliques:
+        for c in system.monoid.cliques():
             acc = 0.0
-            for d in cliques:
-                if d.mask & c.mask == c.mask:
-                    acc += (-1) ** (d.size - c.size) * f[s][d]
+            for d in enabled:
+                if d.contains(c):
+                    acc += (-1) ** (d.size - c.size) * fs[d]
             row[c] = acc
         h[s] = row
     return h
 
 
-def g_table(
-    system: ConcurrentSystem,
-    h: dict[str, dict[Clique, float]],
-    dsc: StateCliqueGraph,
-) -> dict[tuple[str, Clique], float]:
-    """Mass of the successors of each node: g_a(c) = sum of h at the arrows out."""
-    g = {}
-    for v, (s, c) in enumerate(dsc.nodes):
-        g[(s, c)] = sum(h[dsc.nodes[w][0]][dsc.nodes[w][1]] for w in dsc.succ[v])
-    return g
-
-
 def mcsc_tables(
     system: ConcurrentSystem,
     h: dict[str, dict[Clique, float]],
-    g: dict[tuple[str, Clique], float],
     dsc: StateCliqueGraph,
-) -> tuple[dict[str, dict[Clique, float]], np.ndarray, tuple[bool, ...]]:
-    """Initial laws and transition matrix of the states-and-cliques chain.
+) -> tuple[dict, dict, np.ndarray, tuple[bool, ...]]:
+    """Successor mass, initial laws and transition matrix of the chain.
 
-    Rows whose successor mass g is below ZERO_THRESHOLD are flagged
-    unreachable and keep the unnormalized successor weights, so node
-    indexing stays aligned with the plain graph.
+    One pass over the arcs of the plain graph: g_a(c) is the sum of h at
+    the successors of (a, c), in ``succ`` order, and each row of the
+    transition matrix is those h values divided by g.  Rows whose g is at
+    most ZERO_THRESHOLD are flagged unreachable and keep the unnormalized
+    successor weights, so node indexing stays aligned with the plain graph.
+    Returns (g, initial, transition, unreachable).
     """
-    n = len(dsc.nodes)
-    m = np.zeros((n, n))
+    hv = [h[s][c] for s, c in dsc.nodes]
+    m = np.zeros((len(hv), len(hv)))
+    g = {}
     unreachable = []
-    for v, (s, c) in enumerate(dsc.nodes):
-        gv = g[(s, c)]
+    for v, out in enumerate(dsc.succ):
+        row = [hv[w] for w in out]
+        gv = g[dsc.nodes[v]] = sum(row)
         dead = gv <= ZERO_THRESHOLD
         unreachable.append(dead)
-        for w in dsc.succ[v]:
-            t, d = dsc.nodes[w]
-            m[v, w] = h[t][d] if dead else h[t][d] / gv
+        m[v, list(out)] = row if dead else [x / gv for x in row]
     initial = {
         s: {c: h[s][c] for c in system.enabled_cliques(s)} for s in system.states
     }
-    return initial, m, tuple(unreachable)
+    return g, initial, m, tuple(unreachable)
 
 
 # ---------------------------------------------------------------- measure object

@@ -36,10 +36,6 @@ class Clique:
     def size(self) -> int:
         return len(self.letters)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
     def contains(self, other: "Clique") -> bool:
         return self.mask | other.mask == self.mask
 

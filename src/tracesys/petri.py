@@ -76,10 +76,12 @@ def parse_petri(text: str) -> SafePetriNet:
                     line_no, f"arc {arc!r} must connect a place and a transition"
                 )
 
-    marking = [tok for _ln, chunk in sections["marking"] for tok in chunk.split()]
-    for p in marking:
-        if p not in place_set:
-            raise ParseError(0, f"marked name {p!r} is not a place")
+    marking = []
+    for line_no, chunk in sections["marking"]:
+        for p in chunk.split():
+            if p not in place_set:
+                raise ParseError(line_no, f"marked name {p!r} is not a place")
+            marking.append(p)
 
     return SafePetriNet(
         places=tuple(places),

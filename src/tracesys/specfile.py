@@ -51,11 +51,19 @@ def scan_sections(text: str, names: tuple[str, ...]):
             yield line_no, section, line
 
 
+def _distinct(tokens: list[tuple[int, str]], what: str) -> list[str]:
+    """The names of (line_no, name) tokens; a repeat is a ParseError at its line."""
+    seen: set[str] = set()
+    for line_no, name in tokens:
+        if name in seen:
+            raise ParseError(line_no, f"duplicate {what} {name!r}")
+        seen.add(name)
+    return [name for _ln, name in tokens]
+
+
 def parse_system(text: str) -> ConcurrentSystem:
-    alphabet: list[str] = []
-    indep_tokens: list[str] = []
-    states: list[str] = []
-    base: list[tuple[int, str]] = []
+    # (line_no, token) per section; [independence] splits ";" off its letters
+    named: dict[str, list[tuple[int, str]]] = {s: [] for s in SECTIONS if s != "action"}
     triples: list[tuple[int, list[str]]] = []
     seen: set[str] = set()
 
@@ -64,43 +72,44 @@ def parse_system(text: str) -> ConcurrentSystem:
         if not tokens:  # a section is present only once it has content
             continue
         seen.add(section)
-        if section == "alphabet":
-            alphabet.extend(tokens)
-        elif section == "independence":
-            indep_tokens.extend(tokens)
-        elif section == "states":
-            states.extend(tokens)
-        elif section == "base":
-            base.extend((line_no, t) for t in tokens)
-        elif section == "action":
+        if section == "action":
             triples.append((line_no, tokens))
+        else:
+            if section == "independence":
+                tokens = chunk.replace(";", " ; ").split()
+            named[section].extend((line_no, t) for t in tokens)
 
     for required in ("alphabet", "states", "action"):
         if required not in seen:
             raise ParseError(0, f"missing [{required}] section")
 
     pairs = []
-    segment: list[str] = []
-    stream = " ".join(indep_tokens).replace(";", " ; ").split()
-    for tok in stream + [";"]:
+    segment: list[tuple[int, str]] = []
+    for line_no, tok in named["independence"] + [(0, ";")]:
         if tok == ";":
             if segment:
                 if len(segment) != 2:
+                    words = " ".join(t for _ln, t in segment)
                     raise ParseError(
-                        0, f"independence pair {' '.join(segment)!r} is not two letters"
+                        segment[-1][0], f"independence pair {words!r} is not two letters"
                     )
-                pairs.append((segment[0], segment[1]))
+                pairs.append((segment[0][1], segment[1][1]))
             segment = []
         else:
-            segment.append(tok)
+            segment.append((line_no, tok))
 
+    alphabet = _distinct(named["alphabet"], "letter")
+    for line_no, name in named["states"]:
+        if name == BOT:
+            raise ParseError(
+                line_no, f"{BOT!r} is reserved for the sink and cannot name a state"
+            )
+    states = _distinct(named["states"], "state")
+    base = named["base"]
     if len(base) > 1:
         raise ParseError(base[1][0], "more than one base state")
     if base and base[0][1] not in states:
         raise ParseError(base[0][0], f"base state {base[0][1]!r} is not declared")
-    for name in states:
-        if name == BOT:
-            raise ParseError(0, f"{BOT!r} is reserved for the sink and cannot name a state")
 
     state_set, letter_set = set(states), set(alphabet)
     action: dict[tuple[str, str], str | None] = {}

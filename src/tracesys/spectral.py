@@ -170,9 +170,6 @@ class CharacteristicRoot:
             self._chain = poly.sturm_chain(self.square_free)
         return self._chain
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def __str__(self) -> str:
         if self.exact:
             return f"{self.lo} (exact)"
@@ -343,50 +340,44 @@ class InversionReport:
 
 
 def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
-    """Convolve the matrix coefficients with execution counts up to ``order``.
+    """Check mu(z)·G(z) = I up to ``order`` against the execution counts.
 
-    Checks, in exact big-integer arithmetic, that both one-sided products
-    of the alternating clique matrix with the growth coefficients telescope
-    to the identity.
+    mu(z) is the alternating clique matrix M(z) and G_m[a][b] counts the
+    executions of length m from a to b.  The check is exact big-integer
+    arithmetic and one-sided: the constant term mu_0 is the identity (the
+    empty clique leads every state to itself), so mu is invertible as a
+    power series, and a truncated left inverse is the truncation of
+    mu^{-1}, hence a truncated right inverse too.  Each row of the product
+    is accumulated over the non-zero coefficients of mu; failures are
+    (m, "mu*G", origin, target, value) in the order (m, origin, target).
     """
     from .analysis import Analysis
 
     analysis = Analysis.of(system)
-    pm = analysis.mobius
-    n = pm.dim
-    max_deg = max(poly.degree(e) for row in pm.entries for e in row)
-    mu = [
-        [[e[k] if k < len(e) else 0 for e in row] for row in pm.entries]
-        for k in range(max_deg + 1)
+    states = system.states
+    col = {t: j for j, t in enumerate(states)}
+    # counts[l][m]: the non-zero entries (j, G_m[l][j]) of row l
+    counts = [
+        [[(col[t], x) for t, x in row.items()] for row in table]
+        for table in (count_paths_table(analysis.adsc, s, order) for s in states)
     ]
-    tables = [count_paths_table(analysis.adsc, s, order) for s in system.states]
-    g = [
-        [
-            [tables[i][m].get(t, 0) for t in system.states]
-            for i in range(n)
-        ]
-        for m in range(order + 1)
+    # mu[i]: the non-zero coefficients (k, l, mu_k[i][l]) of row i
+    mu = [
+        [(k, l, c) for l, e in enumerate(row) for k, c in enumerate(e) if c]
+        for row in analysis.mobius.entries
     ]
 
     failures = []
     for m in range(order + 1):
-        want = [[int(i == j and m == 0) for j in range(n)] for i in range(n)]
-        for side in ("mu*G", "G*mu"):
-            acc = [[0] * n for _ in range(n)]
-            for k in range(min(m, max_deg) + 1):
-                left = mu[k] if side == "mu*G" else g[m - k]
-                right = g[m - k] if side == "mu*G" else mu[k]
-                for i in range(n):
-                    for l in range(n):
-                        if left[i][l]:
-                            for j in range(n):
-                                acc[i][j] += left[i][l] * right[l][j]
-            for i in range(n):
-                for j in range(n):
-                    if acc[i][j] != want[i][j]:
-                        failures.append(
-                            (m, side, system.states[i], system.states[j], acc[i][j])
-                        )
+        for i in range(len(states)):
+            acc = [0] * len(states)
+            for k, l, c in mu[i]:
+                if k <= m:
+                    for j, x in counts[l][m - k]:
+                        acc[j] += c * x
+            for j, v in enumerate(acc):
+                if v != (m == 0 and i == j):
+                    failures.append((m, "mu*G", states[i], states[j], v))
     return InversionReport(order=order, ok=not failures, failures=tuple(failures))
 
 

@@ -82,6 +82,10 @@ def test_input_error_exit_code(tmp_path, capsys):
     twice.write_text("[places] p p\n[transitions] t\n[flow]\np -> t, t -> p\n[marking] p\n")
     assert main(["check", str(twice), "--petri"]) == 2
     assert capsys.readouterr().err == "error: line 1: 'p' is declared twice\n"
+    letters = tmp_path / "letters.csys"
+    letters.write_text("[alphabet] a\n[states] s\n[alphabet] a\n[action]\ns a s\n")
+    assert main(["check", str(letters)]) == 2
+    assert capsys.readouterr().err == "error: line 3: duplicate letter 'a'\n"
 
 
 def test_analyze_json(e1_file, capsys):

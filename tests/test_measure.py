@@ -149,6 +149,52 @@ def test_mcsc_single_letter_free_monoid():
     assert abs(m.transition[0, 0] - 1.0) <= TOL
 
 
+def _reference_tables(system, f, dsc):
+    """h by the all-cliques superset sum and g, the chain and its unreachable
+    flags by the two passes over the arcs that the one-pass assembly replaced."""
+    cliques = system.monoid.cliques()
+    h = {}
+    for s in system.states:
+        row = {}
+        for c in cliques:
+            acc = 0.0
+            for d in cliques:
+                if d.mask & c.mask == c.mask:
+                    acc += (-1) ** (d.size - c.size) * f[s][d]
+            row[c] = acc
+        h[s] = row
+    g = {}
+    for v, (s, c) in enumerate(dsc.nodes):
+        g[(s, c)] = sum(h[dsc.nodes[w][0]][dsc.nodes[w][1]] for w in dsc.succ[v])
+    m = np.zeros((len(dsc.nodes), len(dsc.nodes)))
+    unreachable = []
+    for v, (s, c) in enumerate(dsc.nodes):
+        gv = g[(s, c)]
+        dead = gv <= ZERO_THRESHOLD
+        unreachable.append(dead)
+        for w in dsc.succ[v]:
+            t, d = dsc.nodes[w]
+            m[v, w] = h[t][d] if dead else h[t][d] / gv
+    return h, g, m, tuple(unreachable)
+
+
+def test_tables_bit_equal_to_reference(reference_systems):
+    for name, system in reference_systems.items():
+        measure = Analysis.of(system).measure()
+        h, g, m, unreachable = _reference_tables(system, measure.f, measure.dsc)
+        # float.hex sees the sign of zero and refuses an int where a float belongs
+        assert [
+            (s, c, float.hex(v)) for s in measure.h for c, v in measure.h[s].items()
+        ] == [(s, c, float.hex(v)) for s in h for c, v in h[s].items()], name
+        assert [(k, type(v), float(v).hex()) for k, v in measure.g.items()] == [
+            (k, type(v), float(v).hex()) for k, v in g.items()
+        ], name
+        assert list(map(float.hex, measure.transition.ravel().tolist())) == list(
+            map(float.hex, m.ravel().tolist())
+        ), name
+        assert measure.unreachable == unreachable, name
+
+
 # ------------------------------------------------------------ type invariants
 
 @pytest.mark.parametrize(

@@ -1,6 +1,13 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracesys.cli import main
 from tracesys.errors import NotOneBounded, ParseError, StateExplosion
+from tracesys.oracle import cross_check
 from tracesys.petri import parse_petri, petri_to_system
 
 TWO_LOOPS = """\
@@ -91,6 +98,16 @@ def test_petri_parse_errors():
             5,
             "malformed arc 't p'",
         ),
+        (
+            "[places] p\n[transitions] t\n[flow]\n[marking] q\n",
+            4,
+            "marked name 'q' is not a place",
+        ),
+        (
+            "[places] p\n[transitions] t\n[marking] p\nt\n[flow]\n",
+            4,
+            "marked name 't' is not a place",
+        ),
     ],
 )
 def test_petri_parse_error_lines(text, line_no, message):
@@ -141,3 +158,51 @@ def test_name_declared_twice(text, line_no):
     with pytest.raises(ParseError) as exc:
         parse_petri(text)
     assert exc.value.line_no == line_no
+
+
+@st.composite
+def cycle_nets(draw):
+    """Text of a safe net, valid by construction.
+
+    2-3 components, each a cycle of 2-3 places holding one token.  Every
+    step of every cycle is a transition, and up to three more transitions
+    synchronise a step of one component with a step of another, so each
+    transition moves one token or two, and no place ever holds two.
+    """
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    moves = [[(i, j)] for i, n in enumerate(sizes) for j in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, k = draw(st.permutations(range(len(sizes))))[:2]
+        moves.append([(i, draw(st.integers(0, sizes[i] - 1))),
+                      (k, draw(st.integers(0, sizes[k] - 1)))])
+    arcs = [
+        f"p{i}_{j} -> t{m}, t{m} -> p{i}_{(j + 1) % sizes[i]}"
+        for m, move in enumerate(moves)
+        for i, j in move
+    ]
+    return (
+        "[places] " + " ".join(f"p{i}_{j}" for i, n in enumerate(sizes) for j in range(n))
+        + "\n[transitions] " + " ".join(f"t{m}" for m in range(len(moves)))
+        + "\n[flow]\n" + ",\n".join(arcs)
+        + "\n[marking] " + " ".join(f"p{i}_0" for i in range(len(sizes))) + "\n"
+    )
+
+
+def _analyze_json(path) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", str(path), "--petri", "--json"])
+    return code, out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=cycle_nets())
+def test_random_cycle_nets(text, tmp_path_factory):
+    system = petri_to_system(parse_petri(text))
+    check = cross_check(system, 4)
+    assert check.ok, (check.mismatches[:3], check.inversion_ok)
+    path = tmp_path_factory.mktemp("net") / "net.pn"
+    path.write_text(text)
+    first = _analyze_json(path)
+    assert first[0] == 0 and first[1].startswith("{")
+    assert _analyze_json(path) == first

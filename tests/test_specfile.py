@@ -80,6 +80,35 @@ def test_parse_rejects_bot_state_name():
         parse_system("[alphabet] a\n[states] BOT\n[action]\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("[alphabet] a b\n a\n[states] s\n[action]\ns a s\n", 2, "duplicate letter 'a'"),
+        ("[alphabet] a\n[states] s\nt s\n[action]\ns a s\n", 3, "duplicate state 's'"),
+        (
+            "[alphabet] a b c\n[independence] a b c\n[states] s\n[action]\ns a s\n",
+            2,
+            "independence pair 'a b c' is not two letters",
+        ),
+        (
+            "[alphabet] a b\n[independence] a\nb ; a\n[states] s\n[action]\ns a s\n",
+            3,
+            "independence pair 'a' is not two letters",
+        ),
+        (
+            "[alphabet] a\n[states] s\n  BOT\n[action]\ns a s\n",
+            3,
+            "'BOT' is reserved for the sink and cannot name a state",
+        ),
+    ],
+)
+def test_parse_errors_name_the_token_line(text, line_no, message):
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
 def test_parse_rejects_unknown_section():
     with pytest.raises(ParseError):
         parse_system("[alphabet] a\n[wrong] x\n[states] s\n[action]\n")

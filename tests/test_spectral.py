@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracesys import poly, spectral
+from tracesys.analysis import Analysis
 from tracesys.errors import (
     AmbiguousBasic,
     NonConvergence,
@@ -384,6 +385,82 @@ def test_verify_inversion_fixtures(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         rep = verify_inversion(system, 10)
         assert rep.ok, (name, rep.failures[:3])
+
+
+def _two_sided_inversion(system, order):
+    """Failures of mu*G = I and G*mu = I, by the dense two-sided convolution
+    that ``verify_inversion`` ran before it became one-sided."""
+    analysis = Analysis.of(system)
+    pm = analysis.mobius
+    n = pm.dim
+    max_deg = max(poly.degree(e) for row in pm.entries for e in row)
+    mu = [
+        [[e[k] if k < len(e) else 0 for e in row] for row in pm.entries]
+        for k in range(max_deg + 1)
+    ]
+    tables = [spectral.count_paths_table(analysis.adsc, s, order) for s in system.states]
+    g = [
+        [[tables[i][m].get(t, 0) for t in system.states] for i in range(n)]
+        for m in range(order + 1)
+    ]
+    failures = []
+    for m in range(order + 1):
+        want = [[int(i == j and m == 0) for j in range(n)] for i in range(n)]
+        for side in ("mu*G", "G*mu"):
+            acc = [[0] * n for _ in range(n)]
+            for k in range(min(m, max_deg) + 1):
+                left = mu[k] if side == "mu*G" else g[m - k]
+                right = g[m - k] if side == "mu*G" else mu[k]
+                for i in range(n):
+                    for l in range(n):
+                        if left[i][l]:
+                            for j in range(n):
+                                acc[i][j] += left[i][l] * right[l][j]
+            for i in range(n):
+                for j in range(n):
+                    if acc[i][j] != want[i][j]:
+                        failures.append(
+                            (m, side, system.states[i], system.states[j], acc[i][j])
+                        )
+    return failures
+
+
+def test_verify_inversion_matches_two_sided_check(reference_systems):
+    for name, system in reference_systems.items():
+        rep = verify_inversion(system, 8)
+        reference = _two_sided_inversion(system, 8)
+        assert rep.ok and not reference, name
+        assert rep.failures == tuple(f for f in reference if f[1] == "mu*G"), name
+
+
+@pytest.mark.parametrize("name, m, origin, target", [
+    ("aztec", 1, "0", "1"),
+    ("aztec", 3, "3p", "3p"),
+    ("two_terminal", 5, "0", "11"),
+    ("phil3", 2, None, None),
+])
+def test_verify_inversion_fails_on_a_wrong_count(
+    reference_systems, monkeypatch, name, m, origin, target
+):
+    system = reference_systems[name]
+    origin = origin or system.states[-1]
+    target = target or system.states[0]
+    real = spectral.count_paths_table
+
+    def tampered(adsc, start, max_len):
+        table = real(adsc, start, max_len)
+        if start == origin:
+            table[m][target] = table[m].get(target, 0) + 1
+        return table
+
+    monkeypatch.setattr(spectral, "count_paths_table", tampered)
+    rep = verify_inversion(system, 6)
+    assert not rep.ok
+    # mu_0 = I: the extra count shows first in row ``origin`` at length m
+    assert rep.failures[0] == (m, "mu*G", origin, target, 1)
+    reference = _two_sided_inversion(system, 6)
+    assert reference and reference[0] == rep.failures[0]
+    assert rep.failures == tuple(f for f in reference if f[1] == "mu*G")
 
 
 # ------------------------------------------------------------ spectral radii
