@@ -9,13 +9,22 @@ from a system (M(z), theta, the root, the labelled graphs, the SCC radii,
 the measure) is computed on first use and kept in the system's
 :class:`Analysis` for as long as some caller holds it
 (``Analysis.of(system)``); while it is held, every function that takes the
-system reads from it, so nothing is computed twice.  The objects it hands
-out are shared and must be treated as read-only.  It takes no lock:
-threads that first ask for the same quantity at once may each compute it,
-and each gets a complete, equal result.
+system (all defined in :mod:`tracesys.analysis`) reads from it, so nothing
+is computed twice.  The objects it hands out are shared and must be
+treated as read-only.  It takes no lock: threads that first ask for the
+same quantity at once may each compute it, and each gets a complete,
+equal result.
 """
 
-from .analysis import Analysis
+from .analysis import (
+    Analysis,
+    characteristic_root,
+    growth_eval,
+    spectral_property_report,
+    uniform_measure,
+    uniqueness_diagnostics,
+    verify_inversion,
+)
 from .errors import TraceSysError
 from .graphs import (
     StateCliqueGraph,
@@ -26,12 +35,7 @@ from .graphs import (
     count_paths,
     count_paths_table,
 )
-from .measure import (
-    UniformMeasure,
-    numeric_null_check,
-    uniform_measure,
-    uniqueness_diagnostics,
-)
+from .measure import UniformMeasure, numeric_null_check
 from .monoid import Clique, NormalForm, TraceMonoid
 from .oracle import cross_check, enumerate_executions
 from .petri import SafePetriNet, parse_petri, petri_to_system
@@ -46,15 +50,11 @@ from .sampling import (
 from .spectral import (
     CharacteristicRoot,
     PolynomialMatrix,
-    characteristic_root,
     compare_roots,
     component_radii,
     determinant,
-    growth_eval,
     mobius_matrix,
-    spectral_property_report,
     spectral_radius,
-    verify_inversion,
 )
 from .specfile import parse_system, render_system
 from .system import ConcurrentSystem, SystemClassification

@@ -3,10 +3,9 @@
 In the paper, the spectral property and the Markov chain of
 states-and-cliques both come from one matrix M(z), one root of
 theta = det M(z) and one pair of labelled graphs.  :class:`Analysis` owns
-them.  :meth:`Analysis.of` returns the analysis of a system that some
-caller still holds, so while one is held the public functions that take a
-system (``characteristic_root``, ``spectral_property_report``,
-``verify_inversion``, ``uniform_measure``, ``uniqueness_diagnostics``)
+them; ``spectral`` and ``measure`` below take them as arguments.
+:meth:`Analysis.of` returns the analysis of a system that some caller still
+holds, so while one is held the public functions here that take a system
 share each other's work.
 """
 
@@ -16,20 +15,17 @@ import weakref
 from fractions import Fraction
 from functools import cached_property
 
-from . import poly
+from . import measure as measure_mod
+from . import poly, spectral
 from .errors import NoRootInUnitInterval, NotAccessible, NotIrreducible, TrivialSystem
 from .graphs import StateCliqueGraph, build_adsc, build_dsc, classify_nodes
-from .measure import (
-    UniformMeasure,
-    fibred_valuation,
-    kernel_cocycle,
-    mcsc_tables,
-    mobius_transform,
-)
+from .measure import UniformMeasure, UniquenessReport
 from .spectral import (
     DEFAULT_PRECISION,
     CharacteristicRoot,
+    InversionReport,
     PolynomialMatrix,
+    SpectralPropertyReport,
     component_radius,
     determinant,
     mobius_matrix,
@@ -80,6 +76,12 @@ class Analysis:
         """theta = det M(z)."""
         return determinant(self.mobius)
 
+    @cached_property
+    def restricted_theta(self) -> dict[str, poly.Poly]:
+        """Per letter, in letter order: det M(z) without the cliques that contain it."""
+        system = self.system
+        return {a: determinant(mobius_matrix(system, without=a)) for a in system.monoid.letters}
+
     def root(self, precision: Fraction = DEFAULT_PRECISION) -> CharacteristicRoot:
         """Smallest root of theta in (0, 1], for a non-trivial accessible system."""
         root = self._roots.get(precision)
@@ -126,28 +128,55 @@ class Analysis:
         precision = min(precision, DEFAULT_PRECISION)
         m = self._measures.get(precision)
         if m is None:
-            system = self.system
-            if not system.classify().irreducible:
+            if not self.system.classify().irreducible:
                 raise NotIrreducible(
                     "the uniform measure is only unique for irreducible systems"
                 )
-            root = self.root(precision)
-            u, err = kernel_cocycle(system, root)
-            f = fibred_valuation(system, root, u)
-            h = mobius_transform(system, f)
-            g, initial, transition, unreachable = mcsc_tables(system, h, self.dsc)
-            m = UniformMeasure(
-                system=system,
-                root=root,
-                dsc=self.dsc,
-                u=u,
-                f=f,
-                h=h,
-                g=g,
-                initial=initial,
-                transition=transition,
-                unreachable=unreachable,
-                cocycle_crosscheck_error=err,
+            m = measure_mod.uniform_measure(
+                self.system, self.mobius, self.root(precision), self.dsc
             )
             self._measures[precision] = m
         return m
+
+
+def characteristic_root(
+    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
+) -> CharacteristicRoot:
+    """Common convergence radius of the growth series: :meth:`Analysis.root`."""
+    return Analysis.of(system).root(precision)
+
+
+def growth_eval(
+    system: ConcurrentSystem, t: Fraction | int, root: CharacteristicRoot | None = None
+) -> list[list[Fraction]]:
+    """Exact M(t)^-1 at a rational t below the root (by default the system's)."""
+    analysis = Analysis.of(system)
+    return spectral.growth_eval(analysis.mobius, t, analysis.root() if root is None else root)
+
+
+def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
+    """Check mu(z)·G(z) = I up to ``order`` against the execution counts."""
+    analysis = Analysis.of(system)
+    return spectral.verify_inversion(analysis.mobius, analysis.adsc, order)
+
+
+def spectral_property_report(
+    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
+) -> SpectralPropertyReport:
+    """Per-letter restricted roots and the strict-growth verdict."""
+    analysis = Analysis.of(system)
+    root = analysis.root(precision)
+    return spectral.spectral_property_report(root, analysis.restricted_theta, precision)
+
+
+def uniform_measure(
+    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
+) -> UniformMeasure:
+    """The unique uniform measure of an irreducible system: :meth:`Analysis.measure`."""
+    return Analysis.of(system).measure(precision)
+
+
+def uniqueness_diagnostics(measure: UniformMeasure) -> UniquenessReport:
+    """The checks behind uniqueness of ``measure``, on its system's shared adsc."""
+    analysis = Analysis.of(measure.system)
+    return measure_mod.uniqueness_diagnostics(measure, analysis.adsc, analysis.adsc_radii)

@@ -15,10 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import dot as dot_mod
-from . import measure as measure_mod
 from . import report as report_mod
 from . import sampling
-from .analysis import Analysis
+from .analysis import Analysis, uniform_measure
 from .errors import TraceSysError
 from .oracle import DEFAULT_CAP
 from .petri import parse_petri, petri_to_system
@@ -246,7 +245,7 @@ def _cmd_sample(system: ConcurrentSystem, args) -> int:
     start = args.start or system.base_state
     out = []
     if args.mode == "mcsc":
-        m = measure_mod.uniform_measure(system)
+        m = uniform_measure(system)
         for k in range(args.count):
             s = sampling.sample_mcsc(m, start, args.steps, seed=args.seed + k)
             out.append(s.trace)

@@ -274,6 +274,8 @@ def count_paths_table(
     executions of length exactly ``n`` ending there (absent = 0).  Exact
     big-integer dynamic programming over the augmented graph.
     """
+    if max_len < 0:
+        raise TraceSysError("length must be non-negative")
     _check_adsc(adsc)
     system = adsc.system
     system.state_index(origin)
@@ -306,8 +308,6 @@ def count_paths(
     adsc: StateCliqueGraph, origin: str, target: str | None, n: int
 ) -> int:
     """Number of executions of length ``n`` from ``origin`` (to ``target``)."""
-    if n < 0:
-        raise TraceSysError("length must be non-negative")
     if target is not None:
         adsc.system.state_index(target)
     table = count_paths_table(adsc, origin, n)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import StateCliqueGraph
 from .monoid import Clique
-from .spectral import DEFAULT_PRECISION, CharacteristicRoot, growth_row_sums, radii_report
+from .spectral import CharacteristicRoot, PolynomialMatrix, growth_row_sums, radii_report
 from .system import ConcurrentSystem
 
 ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
@@ -70,19 +70,15 @@ def _kernel_vector_full_pivot(m: np.ndarray) -> np.ndarray:
 
 
 def kernel_cocycle(
-    system: ConcurrentSystem, root: CharacteristicRoot
+    system: ConcurrentSystem, pm: PolynomialMatrix, root: CharacteristicRoot
 ) -> tuple[np.ndarray, float]:
     """Positive kernel vector of the matrix at the root, base-normalized.
 
     The cocycle is Gamma(a, b) = u_b / u_a.  Cross-checked against the
     growth-series ratio just below the root, the limit that defines it.
     """
-    from .analysis import Analysis
-
     mid = root.midpoint
-    m = np.array(
-        [[float(v) for v in row] for row in Analysis.of(system).mobius.evaluate(mid)]
-    )
+    m = np.array([[float(v) for v in row] for row in pm.evaluate(mid)])
     u = _kernel_vector_full_pivot(m)
     base = system.state_index(system.base_state)
     if abs(u[base]) < 1e-12:
@@ -92,7 +88,7 @@ def kernel_cocycle(
         raise NonPositiveKernelVector(f"kernel vector has non-positive entries: {u}")
 
     t = mid * (1 - Fraction(1, 10**6))
-    row_sums = [float(v) for v in growth_row_sums(system, t, root)]
+    row_sums = [float(v) for v in growth_row_sums(pm, t, root)]
     err = 0.0
     for i in range(len(system.states)):
         for j in range(len(system.states)):
@@ -244,16 +240,26 @@ class UniformMeasure:
 
 
 def uniform_measure(
-    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
+    system: ConcurrentSystem, pm: PolynomialMatrix, root: CharacteristicRoot, dsc: StateCliqueGraph
 ) -> UniformMeasure:
-    """The unique uniform measure of an irreducible system.
-
-    Built once per system and precision; see
-    :meth:`tracesys.analysis.Analysis.measure`.
-    """
-    from .analysis import Analysis
-
-    return Analysis.of(system).measure(precision)
+    """The uniform measure of an irreducible system from M(z), the root and the labelled dsc."""
+    u, err = kernel_cocycle(system, pm, root)
+    f = fibred_valuation(system, root, u)
+    h = mobius_transform(system, f)
+    g, initial, transition, unreachable = mcsc_tables(system, h, dsc)
+    return UniformMeasure(
+        system=system,
+        root=root,
+        dsc=dsc,
+        u=u,
+        f=f,
+        h=h,
+        g=g,
+        initial=initial,
+        transition=transition,
+        unreachable=unreachable,
+        cocycle_crosscheck_error=err,
+    )
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -305,19 +311,18 @@ class UniquenessReport:
     ok: bool
 
 
-def uniqueness_diagnostics(measure: UniformMeasure) -> UniquenessReport:
+def uniqueness_diagnostics(
+    measure: UniformMeasure, adsc: StateCliqueGraph, adsc_radii: tuple[float, ...]
+) -> UniquenessReport:
     """Three checks behind uniqueness, plus the null-reachability cross-check.
 
     (i) the kernel at the root is a line (established during construction);
     (ii) the vector u(state, clique, i) = Gamma(base, state) h(clique) / r^{i-1}
     is a 1/r right eigenvector of the positive augmented graph;
     (iii) basic components of that graph are exactly its terminal ones.
+    ``adsc_radii`` are the radii of the SCCs of ``adsc``, in condensation order.
     """
-    from .analysis import Analysis
-
     system = measure.system
-    analysis = Analysis.of(system)
-    adsc = analysis.adsc
     labels = adsc.labels
 
     r = measure.r
@@ -333,12 +338,12 @@ def uniqueness_diagnostics(measure: UniformMeasure) -> UniquenessReport:
     residual = float(np.abs(fu - vec[positive] / r).max())
 
     comps, terminal_flags = adsc.positive_components()
-    radii = radii_report(tuple(analysis.adsc_radii[ci] for ci in comps))
+    radii = radii_report(tuple(adsc_radii[ci] for ci in comps))
     basic = tuple(i for i, b in enumerate(radii.basic) if b)
     terminal = tuple(i for i, t in enumerate(terminal_flags) if t)
 
     strict_ok, literal_disagrees = _null_reachability(
-        adsc, radii_report(analysis.adsc_radii).basic
+        adsc, radii_report(adsc_radii).basic
     )
 
     ok = (

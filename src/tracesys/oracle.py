@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import Analysis
+from .analysis import Analysis, verify_inversion
 from .errors import CapExceeded
 from .graphs import count_paths_table
 from .monoid import NormalForm
-from .spectral import verify_inversion
 from .system import ConcurrentSystem
 
 DEFAULT_CAP = 8

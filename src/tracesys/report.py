@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import analysis as analysis_mod
 from . import measure as measure_mod
 from . import oracle as oracle_mod
 from . import spectral
-from .analysis import Analysis
 from .errors import TraceSysError
 from .monoid import Clique
 from .system import ConcurrentSystem
@@ -75,7 +75,7 @@ def analyze_report(
         },
     }
 
-    analysis = Analysis.of(system)
+    analysis = analysis_mod.Analysis.of(system)
     pm = analysis.mobius
     doc["polynomials"] = {
         "states": list(pm.states),
@@ -115,7 +115,7 @@ def analyze_report(
         doc["root_error"] = str(exc)
 
     if root is not None:
-        prop = spectral.spectral_property_report(system, precision)
+        prop = analysis_mod.spectral_property_report(system, precision)
         doc["spectral_property"] = {
             "holds": prop.holds,
             "witness": prop.witness,
@@ -131,9 +131,9 @@ def analyze_report(
         doc["spectral_property"] = None
 
     if classification["irreducible"]:
-        m = measure_mod.uniform_measure(system, precision)
+        m = analysis.measure(precision)
         null_check = measure_mod.numeric_null_check(m)
-        uniq = measure_mod.uniqueness_diagnostics(m)
+        uniq = analysis_mod.uniqueness_diagnostics(m)
         doc["uniform_measure"] = {
             "gamma": {
                 "base": system.base_state,
@@ -178,7 +178,7 @@ def analyze_report(
             "skipped": "uniform measure requires an irreducible system"
         }
 
-    inv = spectral.verify_inversion(system, series_order)
+    inv = analysis_mod.verify_inversion(system, series_order)
     doc["inversion"] = {
         "order": inv.order,
         "ok": inv.ok,

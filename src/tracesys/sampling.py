@@ -78,6 +78,8 @@ def sample_mcsc(
     The first node follows the initial law at ``start``; the rest follow
     the transition matrix.  Inverse-CDF over the canonical node order.
     """
+    if steps < 0:
+        raise TraceSysError("steps must be non-negative")
     system = measure.system
     system.state_index(start)
     dsc = measure.dsc
@@ -219,6 +221,8 @@ def empirical_first_clique(
     Diagnostic only: total-variation distance and per-clique z-scores
     against the law of the first clique under the uniform measure.
     """
+    if samples <= 0:
+        raise TraceSysError("samples must be positive")
     sampler = UniformExecutionSampler(system, start, length)
     rng = SplitMix64(seed, stream=1)
     counts: dict[Clique, int] = {}

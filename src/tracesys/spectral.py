@@ -11,7 +11,7 @@ distinct algebraic roots can always be separated or proven equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -140,14 +140,13 @@ class CharacteristicRoot:
     """Smallest positive root of ``theta`` in (0, 1], isolated exactly.
 
     ``lo == hi`` means the root was hit exactly (a rational root); otherwise
-    lo < root < hi with opposite signs of the square-free part at the ends.
+    lo < root < hi, the only root of the square-free part in (lo, hi].
     """
 
     theta: poly.Poly
     square_free: poly.Poly
     lo: Fraction
     hi: Fraction
-    _chain: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -165,57 +164,43 @@ class CharacteristicRoot:
     def approx(self) -> float:
         return float(self.midpoint)
 
-    def chain(self) -> list:
-        if self._chain is None:
-            self._chain = poly.sturm_chain(self.square_free)
-        return self._chain
-
     def __str__(self) -> str:
         if self.exact:
             return f"{self.lo} (exact)"
         return f"({self.lo}, {self.hi}) ~ {self.approx:.12g}"
 
 
-def _isolate_smallest_unit_root(
-    sf: poly.Poly, precision: Fraction
-) -> tuple[Fraction, Fraction] | None:
-    """Smallest root of a square-free polynomial in (0, 1], or None.
+def root_from_theta(
+    theta: poly.Poly, precision: Fraction = DEFAULT_PRECISION
+) -> CharacteristicRoot | None:
+    """Isolate the smallest positive root of theta in (0, 1]; None if absent.
 
-    Exact-sign bisection with Sturm counts; a dyadic rational root is hit
-    exactly and returned as a collapsed interval.
+    Sturm counts on half-open intervals bisect until the root is alone;
+    then :func:`_refine_step` halves its interval until it is at most
+    ``precision`` wide.  A dyadic rational root is hit exactly.
     """
+    if precision <= 0:
+        raise TraceSysError(f"root precision must be positive, got {precision}")
+    sf = poly.square_free_part(theta)
     chain = poly.sturm_chain(sf)
     lo, hi = Fraction(0), Fraction(1)
     count = poly.count_roots(chain, lo, hi)
     if count == 0:
         return None
-    # invariant: the smallest root lies in (lo, hi], lo is not a root, and
-    # (lo, hi] holds ``count`` roots
-    while True:
-        if count == 1:
-            if poly.sign_at(sf, hi) == 0:
-                return hi, hi
-            if hi - lo <= precision:
-                return lo, hi
+    # invariant: the smallest root lies in (lo, hi], which holds ``count`` roots
+    while count > 1:
         mid = (lo + hi) / 2
         left = poly.count_roots(chain, lo, mid)
         if left >= 1:
             hi, count = mid, left
         else:
             lo = mid  # (mid, hi] keeps all ``count`` roots
-
-
-def root_from_theta(
-    theta: poly.Poly, precision: Fraction = DEFAULT_PRECISION
-) -> CharacteristicRoot | None:
-    """Isolate the smallest positive root of theta in (0, 1]; None if absent."""
-    if precision <= 0:
-        raise TraceSysError(f"root precision must be positive, got {precision}")
-    sf = poly.square_free_part(theta)
-    iso = _isolate_smallest_unit_root(sf, precision)
-    if iso is None:
-        return None
-    return CharacteristicRoot(theta=theta, square_free=sf, lo=iso[0], hi=iso[1])
+    if poly.sign_at(sf, hi) == 0:
+        lo = hi
+    root = CharacteristicRoot(theta=theta, square_free=sf, lo=lo, hi=hi)
+    while root.width > precision:
+        root = _refine_step(root)
+    return root
 
 
 def compare_roots(
@@ -262,55 +247,44 @@ def compare_roots(
 def _refine_step(
     root: CharacteristicRoot, exclude: Fraction | None = None
 ) -> CharacteristicRoot:
-    """One bisection step; with ``exclude``, bisect at that point if interior."""
-    if root.exact:
-        return root
-    mid = (root.lo + root.hi) / 2
-    if exclude is not None and root.lo < exclude < root.hi:
-        mid = exclude
-    chain = root.chain()
-    if poly.sign_at(root.square_free, mid) == 0:
-        return CharacteristicRoot(root.theta, root.square_free, mid, mid, _chain=chain)
-    if poly.count_roots(chain, root.lo, mid) == 1:
-        return CharacteristicRoot(root.theta, root.square_free, root.lo, mid, _chain=chain)
-    return CharacteristicRoot(root.theta, root.square_free, mid, root.hi, _chain=chain)
+    """One bisection step; with ``exclude``, bisect at that point if interior.
 
-
-def characteristic_root(
-    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
-) -> CharacteristicRoot:
-    """Common convergence radius of the growth series, as a root of det.
-
-    Requires a non-trivial accessible system; refuses anything else rather
-    than extrapolating.  Isolated once per system and precision; see
-    :meth:`tracesys.analysis.Analysis.root`.
+    The root is simple and alone in (lo, hi), and hi is not a root, so it
+    lies left of a non-root mid exactly when the square-free part has the
+    same sign at mid and hi: a Sturm count on (lo, mid] picks the same half.
+    An exact root comes back equal: mid = lo = hi is its root.
     """
-    from .analysis import Analysis
-
-    return Analysis.of(system).root(precision)
+    sf, lo, hi = root.square_free, root.lo, root.hi
+    mid = exclude if exclude is not None and lo < exclude < hi else (lo + hi) / 2
+    sign = poly.sign_at(sf, mid)
+    if sign == 0:
+        lo = hi = mid
+    elif sign == poly.sign_at(sf, hi):
+        hi = mid
+    else:
+        lo = mid
+    return CharacteristicRoot(root.theta, sf, lo, hi)
 
 
 # ---------------------------------------------------------------- growth matrix
 
 def growth_eval(
-    system: ConcurrentSystem,
-    t: Fraction | int,
-    root: CharacteristicRoot | None = None,
+    pm: PolynomialMatrix, t: Fraction | int, root: CharacteristicRoot
 ) -> list[list[Fraction]]:
-    """Growth matrix at a rational point below the root: exact inverse."""
-    n = len(system.states)
-    return _growth_solve(system, t, root, [[int(i == j) for j in range(n)] for i in range(n)])
+    """Growth matrix M(t)^-1 at a rational point below the root: exact inverse."""
+    n = pm.dim
+    return _growth_solve(pm, t, root, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def growth_row_sums(
-    system: ConcurrentSystem, t: Fraction | int, root: CharacteristicRoot
+    pm: PolynomialMatrix, t: Fraction | int, root: CharacteristicRoot
 ) -> list[Fraction]:
     """Row sums of :func:`growth_eval`, from the one column B = 1."""
-    return [v for (v,) in _growth_solve(system, t, root, [[1]] * len(system.states))]
+    return [v for (v,) in _growth_solve(pm, t, root, [[1]] * pm.dim)]
 
 
 def _growth_solve(
-    system: ConcurrentSystem, t: Fraction | int, root: CharacteristicRoot | None, b: list
+    pm: PolynomialMatrix, t: Fraction | int, root: CharacteristicRoot, b: list
 ) -> list[list[Fraction]]:
     """M(t)^-1·B exactly, as X / det for q^D·M(t)·X = det·q^D·B, where
     t = p/q and D is the largest entry degree.  M(t) is invertible below
@@ -318,13 +292,8 @@ def _growth_solve(
     t = Fraction(t)
     if t < 0:
         raise TraceSysError("evaluation point must be non-negative")
-    if root is None:
-        root = characteristic_root(system)
     if t >= root.lo:
         raise SingularAtT(f"{t} is not below the isolating interval of the root")
-    from .analysis import Analysis
-
-    pm = Analysis.of(system).mobius
     q = t.denominator ** max(poly.degree(e) for row in pm.entries for e in row)
     det, x = fraction_free_solve(
         [[int(v * q) for v in row] + [q * c for c in cs] for row, cs in zip(pm.evaluate(t), b)]
@@ -339,7 +308,7 @@ class InversionReport:
     failures: tuple[tuple, ...]  # (n, side, origin, target, value)
 
 
-def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
+def verify_inversion(pm: PolynomialMatrix, adsc: StateCliqueGraph, order: int) -> InversionReport:
     """Check mu(z)·G(z) = I up to ``order`` against the execution counts.
 
     mu(z) is the alternating clique matrix M(z) and G_m[a][b] counts the
@@ -351,20 +320,17 @@ def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
     is accumulated over the non-zero coefficients of mu; failures are
     (m, "mu*G", origin, target, value) in the order (m, origin, target).
     """
-    from .analysis import Analysis
-
-    analysis = Analysis.of(system)
-    states = system.states
+    states = pm.states
     col = {t: j for j, t in enumerate(states)}
     # counts[l][m]: the non-zero entries (j, G_m[l][j]) of row l
     counts = [
         [[(col[t], x) for t, x in row.items()] for row in table]
-        for table in (count_paths_table(analysis.adsc, s, order) for s in states)
+        for table in (count_paths_table(adsc, s, order) for s in states)
     ]
     # mu[i]: the non-zero coefficients (k, l, mu_k[i][l]) of row i
     mu = [
         [(k, l, c) for l, e in enumerate(row) for k, c in enumerate(e) if c]
-        for row in analysis.mobius.entries
+        for row in pm.entries
     ]
 
     failures = []
@@ -496,21 +462,19 @@ class SpectralPropertyReport:
 
 
 def spectral_property_report(
-    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
+    root: CharacteristicRoot, restricted: dict[str, poly.Poly], precision: Fraction
 ) -> SpectralPropertyReport:
     """Per-letter restricted roots and the strict-growth verdict.
 
-    Each restricted matrix drops the cliques that contain the letter.
-    Restricted systems may lose accessibility, so their roots are taken
-    directly from the determinant of the restricted matrix; absence of a
-    root in (0, 1] is reported as an infinite radius, which compares above
-    every finite root.
+    ``restricted`` maps each letter, in letter order, to the determinant of
+    the matrix without the cliques that contain it.  Restricted systems may
+    lose accessibility, so their roots are taken directly from that
+    determinant; absence of a root in (0, 1] is reported as an infinite
+    radius, which compares above every finite root.
     """
-    root = characteristic_root(system, precision)
     entries = []
     witness = None
-    for a in system.monoid.letters:
-        theta = determinant(mobius_matrix(system, without=a))
+    for a, theta in restricted.items():
         sub_root = root_from_theta(theta, precision)
         if sub_root is None:
             entries.append(LetterRestriction(a, None, 1))

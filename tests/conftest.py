@@ -8,7 +8,7 @@ from tracesys.fixtures import (
     two_state_system,
     two_terminal_system,
 )
-from tracesys.measure import uniform_measure
+from tracesys.analysis import uniform_measure
 from tracesys.system import ConcurrentSystem
 
 

@@ -11,22 +11,19 @@ import numpy as np
 import pytest
 
 from tracesys import poly
-from tracesys.graphs import build_adsc, build_dsc, classify_nodes
-from tracesys.measure import (
-    numeric_null_check,
+from tracesys.analysis import (
+    characteristic_root,
+    spectral_property_report,
     uniform_measure,
     uniqueness_diagnostics,
+    verify_inversion,
 )
+from tracesys.graphs import build_adsc, build_dsc, classify_nodes
+from tracesys.measure import numeric_null_check
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import cross_check
 from tracesys.sampling import empirical_first_clique, sample_mcsc
-from tracesys.spectral import (
-    characteristic_root,
-    mobius_matrix,
-    spectral_property_report,
-    spectral_radius,
-    verify_inversion,
-)
+from tracesys.spectral import mobius_matrix, spectral_radius
 from tracesys.system import ConcurrentSystem
 
 WIDTH = Fraction(1, 10**12)

@@ -3,14 +3,24 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from tracesys import fixtures, graphs, spectral
-from tracesys.analysis import Analysis
-from tracesys.measure import uniform_measure
+from tracesys.analysis import (
+    Analysis,
+    characteristic_root,
+    growth_eval,
+    spectral_property_report,
+    uniform_measure,
+    uniqueness_diagnostics,
+    verify_inversion,
+)
+from tracesys.errors import TraceSysError
+from tracesys.oracle import cross_check
 from tracesys.report import analyze_report
-from tracesys.sampling import UniformExecutionSampler
+from tracesys.sampling import UniformExecutionSampler, empirical_first_clique, sample_mcsc
 from tracesys.spectral import (
     DEFAULT_PRECISION,
-    characteristic_root,
     component_radii,
     max_radius,
     spectral_radius,
@@ -135,3 +145,61 @@ def test_root_and_measure_kept_per_precision():
     assert a.measure(coarse) is a.measure()
     assert a.measure().root is a.root()
     assert a.measure(fine).root is a.root(fine)
+
+
+def _entry_point_calls(system):
+    """One call of each public entry point that takes a system."""
+    return (
+        characteristic_root(system),
+        growth_eval(system, Fraction(1, 8)),
+        verify_inversion(system, 6),
+        spectral_property_report(system),
+        uniform_measure(system),
+        uniqueness_diagnostics(uniform_measure(system)),
+    )
+
+
+def test_entry_points_recompute_nothing_on_a_warm_analysis(monkeypatch):
+    system = fixtures.aztec_system()
+    held = Analysis.of(system)
+    first = _entry_point_calls(system)
+    counts = _count_calls(monkeypatch, [
+        (graphs, "build_dsc"),
+        (graphs, "build_adsc"),
+        (spectral, "determinant"),
+    ])
+    second = _entry_point_calls(system)
+    assert counts == {}
+    assert second == first
+    assert held.measure() is second[4]
+
+
+def test_spectral_property_reads_restricted_theta_once(monkeypatch):
+    system = fixtures.aztec_system()
+    held = Analysis.of(system)
+    held.root()  # theta is computed; the letter restrictions are not
+    counts = _count_calls(monkeypatch, [(spectral, "determinant")])
+    first = spectral_property_report(system)
+    assert spectral_property_report(system) == first
+    assert counts == {"determinant": len(system.monoid.letters)} == {"determinant": 5}
+    assert list(held.restricted_theta) == list(system.monoid.letters)
+    for a, theta in held.restricted_theta.items():
+        assert theta == spectral.determinant(spectral.mobius_matrix(system, without=a))
+
+
+@pytest.mark.parametrize("case", [
+    "verify_inversion", "count_paths_table", "cross_check", "sample_mcsc", "empirical_first_clique",
+])
+def test_negative_sizes_are_refused(case, aztec):
+    s = aztec.base_state
+    calls = {
+        "verify_inversion": lambda: verify_inversion(aztec, -1),
+        "count_paths_table": lambda: graphs.count_paths_table(Analysis.of(aztec).adsc, s, -2),
+        "cross_check": lambda: cross_check(aztec, -1),
+        "sample_mcsc": lambda: sample_mcsc(uniform_measure(aztec), s, -1, seed=3),
+        "empirical_first_clique": lambda: empirical_first_clique(
+            aztec, uniform_measure(aztec), s, 4, samples=0, seed=3
+        ),
+    }
+    with pytest.raises(TraceSysError):
+        calls[case]()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tracesys.analysis import Analysis
+from tracesys.analysis import Analysis, uniform_measure, uniqueness_diagnostics
 
 from tracesys.errors import (
     ClassificationMismatch,
@@ -17,12 +17,10 @@ from tracesys.measure import (
     _null_reachability,
     numeric_null_check,
     kernel_cocycle,
-    uniform_measure,
-    uniqueness_diagnostics,
 )
 from tracesys.monoid import TraceMonoid
 from tracesys.sampling import SplitMix64
-from tracesys.spectral import CharacteristicRoot, radii_report
+from tracesys.spectral import CharacteristicRoot, mobius_matrix, radii_report
 from tracesys.system import ConcurrentSystem
 
 TOL = 1e-9
@@ -61,7 +59,7 @@ def test_cocycle_kernel_dimension_error(e1):
         lo=Fraction(1, 3), hi=Fraction(1, 3),
     )
     with pytest.raises(KernelDimensionNotOne):
-        kernel_cocycle(e1, bogus)
+        kernel_cocycle(e1, mobius_matrix(e1), bogus)
 
 
 def test_measure_requires_irreducible():

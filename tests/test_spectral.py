@@ -1,14 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from bench_modules import inputs, load_system
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracesys import poly, spectral
-from tracesys.analysis import Analysis
+from tracesys.analysis import (
+    Analysis,
+    characteristic_root,
+    growth_eval,
+    spectral_property_report,
+    verify_inversion,
+)
 from tracesys.errors import (
     AmbiguousBasic,
     NonConvergence,
@@ -23,18 +30,15 @@ from tracesys.graphs import build_adsc, build_dsc, classify_nodes, tarjan_sccs
 from tracesys.monoid import TraceMonoid
 from tracesys.spectral import (
     PolynomialMatrix,
-    characteristic_root,
+    _refine_step,
     compare_roots,
     component_radii,
     determinant,
     fraction_free_solve,
-    growth_eval,
     growth_row_sums,
     mobius_matrix,
     root_from_theta,
-    spectral_property_report,
     spectral_radius,
-    verify_inversion,
 )
 from tracesys.system import ConcurrentSystem
 
@@ -295,6 +299,95 @@ def test_compare_roots_orders():
     assert cmp == 0
 
 
+PRECISIONS = (Fraction(1, 1000), Fraction(1, 10**12), Fraction(1, 10**30))
+
+
+def _sturm_isolation(theta, precision):
+    """Reference: the smallest root of theta in (0, 1] by bisection with a
+    Sturm count at every step, as (lo, hi), or None."""
+    sf = poly.square_free_part(theta)
+    chain = poly.sturm_chain(sf)
+    lo, hi = Fraction(0), Fraction(1)
+    count = poly.count_roots(chain, lo, hi)
+    if count == 0:
+        return None
+    while True:
+        if count == 1:
+            if poly.sign_at(sf, hi) == 0:
+                return hi, hi
+            if hi - lo <= precision:
+                return lo, hi
+        mid = (lo + hi) / 2
+        left = poly.count_roots(chain, lo, mid)
+        if left >= 1:
+            hi, count = mid, left
+        else:
+            lo = mid
+
+
+def _sturm_step(root, exclude):
+    """Reference: one bisection step of an isolated root, by Sturm count."""
+    mid = exclude if root.lo < exclude < root.hi else root.midpoint
+    sf = root.square_free
+    if poly.sign_at(sf, mid) == 0:
+        return mid, mid
+    if poly.count_roots(poly.sturm_chain(sf), root.lo, mid) == 1:
+        return root.lo, mid
+    return mid, root.hi
+
+
+def _assert_matches_sturm_reference(theta, precision, exclude):
+    root = root_from_theta(theta, precision)
+    want = _sturm_isolation(theta, precision)
+    assert (None if root is None else (root.lo, root.hi)) == want
+    if root is not None and not root.exact:
+        x = root.lo + (root.hi - root.lo) * exclude
+        step = _refine_step(root, exclude=x)
+        assert (step.lo, step.hi) == _sturm_step(root, x)
+
+
+@st.composite
+def rational_and_quadratic_products(draw):
+    """Products of factors q·z - p and of irreducible quadratics, some repeated."""
+    theta = (1,)
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.integers(-5, 45)), draw(st.integers(1, 40))
+        theta = poly.mul(theta, (-p, q))
+    for _ in range(draw(st.integers(0 if len(theta) > 1 else 1, 2))):
+        a, b, c = draw(st.integers(1, 20)), draw(st.integers(-40, 40)), draw(st.integers(-20, 20))
+        disc = b * b - 4 * a * c
+        assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+        theta = poly.mul(theta, (c, b, a))
+    if draw(st.booleans()):
+        theta = poly.mul(theta, theta[: draw(st.integers(2, len(theta)))] or (1,))
+    assume(poly.degree(theta) >= 1)
+    return theta
+
+
+@given(
+    rational_and_quadratic_products(),
+    st.sampled_from(PRECISIONS),
+    st.fractions(0, 1),
+)
+@example((-1, 2), Fraction(1, 1000), Fraction(1, 3))  # exact root 1/2
+@example((1, -3, 1), Fraction(1, 10**12), Fraction(1, 2))  # (3 - sqrt 5)/2
+@example((-1, 1), Fraction(1, 10**30), Fraction(0))  # root at 1
+@example((0, -1, 3), Fraction(1, 1000), Fraction(0))  # a root at 0 too: lo may be a root
+@settings(max_examples=300, deadline=None)
+def test_root_from_theta_matches_sturm_bisection(theta, precision, exclude):
+    _assert_matches_sturm_reference(theta, precision, exclude)
+
+
+def test_root_from_theta_matches_sturm_bisection_on_systems(reference_systems):
+    for name, system in reference_systems.items():
+        thetas = [determinant(mobius_matrix(system))] + [
+            determinant(mobius_matrix(system, without=a)) for a in system.monoid.letters
+        ]
+        for theta in thetas:
+            for precision in PRECISIONS:
+                _assert_matches_sturm_reference(theta, precision, Fraction(1, 3))
+
+
 # ------------------------------------------------------------ growth matrix
 
 def test_growth_eval_identity_at_zero(e1):
@@ -372,7 +465,8 @@ def test_growth_eval_matches_rational_inverse(reference_systems):
         t = root.midpoint * (1 - Fraction(1, 10**6))
         want = _invert_fraction_matrix(mobius_matrix(system).evaluate(t))
         assert growth_eval(system, t, root) == want, name
-        assert growth_row_sums(system, t, root) == [sum(row) for row in want], name
+        row_sums = growth_row_sums(mobius_matrix(system), t, root)
+        assert row_sums == [sum(row) for row in want], name
 
 
 # ------------------------------------------------------------ inversion identity
