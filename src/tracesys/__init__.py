@@ -50,8 +50,8 @@ from .sampling import (
 from .spectral import (
     CharacteristicRoot,
     PolynomialMatrix,
+    basic_flags,
     compare_roots,
-    component_radii,
     determinant,
     mobius_matrix,
     spectral_radius,
@@ -77,12 +77,12 @@ __all__ = [
     "TraceSysError",
     "UniformExecutionSampler",
     "UniformMeasure",
+    "basic_flags",
     "build_adsc",
     "build_dsc",
     "characteristic_root",
     "classify_nodes",
     "compare_roots",
-    "component_radii",
     "condense",
     "count_paths",
     "count_paths_table",

@@ -18,7 +18,7 @@ from functools import cached_property
 from . import measure as measure_mod
 from . import poly, spectral
 from .errors import NoRootInUnitInterval, NotAccessible, NotIrreducible, TrivialSystem
-from .graphs import StateCliqueGraph, build_adsc, build_dsc, classify_nodes
+from .graphs import StateCliqueGraph, build_adsc, build_dsc
 from .measure import UniformMeasure, UniquenessReport
 from .spectral import (
     DEFAULT_PRECISION,
@@ -104,14 +104,12 @@ class Analysis:
     @cached_property
     def dsc(self) -> StateCliqueGraph:
         """The plain graph, labelled positive/null."""
-        dsc = build_dsc(self.system)
-        classify_nodes(dsc)
-        return dsc
+        return build_dsc(self.system)
 
     @cached_property
     def adsc(self) -> StateCliqueGraph:
-        """The augmented graph unfolded from :attr:`dsc`, labels included."""
-        return build_adsc(self.system, self.dsc)
+        """The augmented graph unfolded from :attr:`dsc`, with its labels."""
+        return build_adsc(self.dsc)
 
     @cached_property
     def adsc_radii(self) -> tuple[float, ...]:

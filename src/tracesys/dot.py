@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import StateCliqueGraph, classify_nodes
+from .graphs import StateCliqueGraph
 from .system import ConcurrentSystem
 
 NULL_FILL = "lightgrey"
@@ -28,9 +28,6 @@ def dot_states(system: ConcurrentSystem) -> str:
 def dot_state_clique_graph(graph: StateCliqueGraph) -> str:
     """States-and-cliques digraph; null nodes filled grey, SCCs clustered,
     terminal clusters double-bordered."""
-    if graph.labels is None and graph.kind in ("dsc", "adsc"):
-        classify_nodes(graph)
-    labels = graph.labels or (True,) * len(graph.nodes)
     cond = graph.condensation()
     lines = [f"digraph {graph.kind.replace('+', '_pos')} {{", "  node [style=filled];"]
     for ci, comp in enumerate(cond.components):
@@ -38,7 +35,7 @@ def dot_state_clique_graph(graph: StateCliqueGraph) -> str:
         if cond.terminal[ci]:
             lines.append("    peripheries=2;")
         for v in comp:
-            fill = POSITIVE_FILL if labels[v] else NULL_FILL
+            fill = POSITIVE_FILL if graph.labels[v] else NULL_FILL
             lines.append(f"    n{v} [label={_q(graph.node_str(v))} fillcolor={_q(fill)}];")
         lines.append("  }")
     for v in range(len(graph.nodes)):

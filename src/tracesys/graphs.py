@@ -3,14 +3,15 @@
 Nodes of the plain graph are (state, clique) pairs with the clique enabled
 at the state; the augmented graph unfolds each node into a chain of
 (state, clique, i) triples, one per letter, so that path length counts
-letters instead of cliques.  Path counts use Python big integers.
+letters instead of cliques.  Both are built labelled positive/null.  Path
+counts use Python big integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import TraceSysError
 
@@ -81,6 +82,22 @@ def tarjan_sccs(succ: Adjacency) -> list[list[int]]:
     return comps
 
 
+def reachable(succ: Sequence[Sequence[int]], sources: Iterable[int]) -> list[bool]:
+    """Per node: whether some path, possibly empty, leads to it from ``sources``."""
+    seen = [False] * len(succ)
+    stack = []
+    for v in sources:
+        if not seen[v]:
+            seen[v] = True
+            stack.append(v)
+    while stack:
+        for w in succ[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return seen
+
+
 def condense(succ: Adjacency) -> Condensation:
     comps = sorted(tarjan_sccs(succ), key=min)
     comp_of = [0] * len(succ)
@@ -107,23 +124,21 @@ class StateCliqueGraph:
     """Plain ("dsc") or augmented ("adsc") digraph of states-and-cliques.
 
     dsc nodes are (state, clique) pairs, adsc nodes (state, clique, i)
-    triples; ``succ`` lists the successors of each node by index.
-    ``labels`` holds one positive flag per node, or None while unlabelled:
-    :func:`classify_nodes` fills it on a dsc, and :func:`build_adsc` copies
-    it from the dsc it unfolds.  Kinds ending in "+" denote the induced
-    positive subgraph.  The condensation is computed once on first use.
-    Graphs handed out by :class:`~tracesys.analysis.Analysis` come labelled
-    and are shared: treat them as read-only.
+    triples; ``succ`` lists the successors of each node by index and
+    ``labels`` holds one positive flag per node (see :func:`classify_nodes`;
+    every triple of an adsc carries the flag of its dsc node).  Kinds ending
+    in "+" denote the induced positive subgraph.  The condensation is
+    computed once on first use.  Graphs handed out by
+    :class:`~tracesys.analysis.Analysis` are shared: treat them as read-only.
     """
 
     kind: str
     system: ConcurrentSystem
     nodes: tuple[tuple, ...]
     succ: Adjacency
-    labels: tuple[bool, ...] | None = None
+    labels: tuple[bool, ...]
 
     def __post_init__(self):
-        self.index = {node: i for i, node in enumerate(self.nodes)}
         self._cond: Condensation | None = None
 
     def __len__(self) -> int:
@@ -138,9 +153,9 @@ class StateCliqueGraph:
         """Indices into :meth:`condensation` of the components made of
         positive nodes, in order, and each one's terminal flag among them.
 
-        Needs labels.  Positive nodes are closed under predecessors, so each
-        component is wholly positive or null, and :meth:`positive_subgraph`
-        has exactly these components, with the same arcs, in this order.
+        Positive nodes are closed under predecessors, so each component is
+        wholly positive or null, and :meth:`positive_subgraph` has exactly
+        these components, with the same arcs, in this order.
         """
         cond = self.condensation()
         positive = [self.labels[comp[0]] for comp in cond.components]
@@ -150,8 +165,6 @@ class StateCliqueGraph:
 
     def positive_subgraph(self) -> "StateCliqueGraph":
         """Induced subgraph on the positive nodes."""
-        if self.labels is None:
-            classify_nodes(self)
         keep = [i for i, pos in enumerate(self.labels) if pos]
         remap = {old: new for new, old in enumerate(keep)}
         succ = tuple(
@@ -174,7 +187,7 @@ class StateCliqueGraph:
 
 def build_dsc(system: ConcurrentSystem) -> StateCliqueGraph:
     """Nodes (state, clique) for enabled non-empty cliques; arcs follow the
-    action and the clique normality relation.
+    action and the clique normality relation; labels from :func:`classify_nodes`.
 
     A successor clique d of c must lie inside the dependence closure of c
     (every letter of d depends on some letter of c), one mask test per
@@ -190,19 +203,13 @@ def build_dsc(system: ConcurrentSystem) -> StateCliqueGraph:
         outside = ~monoid.dependence_mask(c)
         t = system.clique_target(s, c)
         succ.append(tuple(i for mask, i in heads[t] if not mask & outside))
-    return StateCliqueGraph("dsc", system, tuple(nodes), tuple(succ))
+    nodes, succ = tuple(nodes), tuple(succ)
+    return StateCliqueGraph("dsc", system, nodes, succ, classify_nodes(system, nodes, succ))
 
 
-def build_adsc(
-    system: ConcurrentSystem, dsc: StateCliqueGraph | None = None
-) -> StateCliqueGraph:
-    """Unfold every (state, clique) node into a chain of |clique| triples.
-
-    Unfolds ``dsc`` when given (a fresh one otherwise); its labels, if any,
-    carry over to every triple of a node.
-    """
-    if dsc is None:
-        dsc = build_dsc(system)
+def build_adsc(dsc: StateCliqueGraph) -> StateCliqueGraph:
+    """Unfold every (state, clique) node of ``dsc`` into a chain of |clique|
+    triples, each labelled like its node."""
     nodes = tuple((s, c, i) for s, c in dsc.nodes for i in range(1, c.size + 1))
     first = [0, *accumulate(c.size for _s, c in dsc.nodes)]  # each node's first triple
     succ: list[tuple[int, ...]] = []
@@ -210,16 +217,17 @@ def build_adsc(
         for i in range(1, c.size):
             succ.append((first[v] + i,))
         succ.append(tuple(first[w] for w in dsc.succ[v]))
-    labels = None
-    if dsc.labels is not None:
-        labels = tuple(
-            pos for (_s, c), pos in zip(dsc.nodes, dsc.labels) for _i in range(c.size)
-        )
-    return StateCliqueGraph("adsc", system, nodes, tuple(succ), labels)
+    labels = tuple(
+        pos for (_s, c), pos in zip(dsc.nodes, dsc.labels) for _i in range(c.size)
+    )
+    return StateCliqueGraph("adsc", dsc.system, nodes, tuple(succ), labels)
 
 
-def classify_nodes(graph: StateCliqueGraph) -> tuple[bool, ...]:
-    """Positive/null labels by exact reachability.
+def classify_nodes(
+    system: ConcurrentSystem, nodes: tuple[tuple, ...], succ: Adjacency
+) -> tuple[bool, ...]:
+    """Positive/null labels of the dsc with these (state, clique) ``nodes``
+    and arcs ``succ``, by exact reachability.
 
     A node is positive iff it reaches, reflexively, a node whose clique is
     maximal (for inclusion) among the enabled cliques at its state.
@@ -227,7 +235,6 @@ def classify_nodes(graph: StateCliqueGraph) -> tuple[bool, ...]:
     absorbing sink), so a clique is maximal iff none of its one-letter
     extensions is enabled: O(enabled * letters) per state.
     """
-    system = graph.system
     bits = [1 << i for i in range(len(system.monoid.letters))]
     maximal: dict[str, set[int]] = {}
     for s in system.states:
@@ -237,25 +244,12 @@ def classify_nodes(graph: StateCliqueGraph) -> tuple[bool, ...]:
             for mask in enabled
             if not any(not mask & b and mask | b in enabled for b in bits)
         }
-    targets = [
-        i for i, node in enumerate(graph.nodes) if node[1].mask in maximal[node[0]]
-    ]
-    pred = [[] for _ in graph.nodes]
-    for v, out in enumerate(graph.succ):
+    targets = [i for i, (s, c) in enumerate(nodes) if c.mask in maximal[s]]
+    pred = [[] for _ in nodes]
+    for v, out in enumerate(succ):
         for w in out:
             pred[w].append(v)
-    positive = [False] * len(graph.nodes)
-    queue = list(targets)
-    for v in targets:
-        positive[v] = True
-    while queue:
-        w = queue.pop()
-        for v in pred[w]:
-            if not positive[v]:
-                positive[v] = True
-                queue.append(v)
-    graph.labels = tuple(positive)
-    return graph.labels
+    return tuple(reachable(pred, targets))
 
 
 # ---------------------------------------------------------------- path counting

@@ -20,9 +20,9 @@ from .errors import (
     KernelDimensionNotOne,
     NonPositiveKernelVector,
 )
-from .graphs import StateCliqueGraph
+from .graphs import StateCliqueGraph, reachable
 from .monoid import Clique
-from .spectral import CharacteristicRoot, PolynomialMatrix, growth_row_sums, radii_report
+from .spectral import CharacteristicRoot, PolynomialMatrix, basic_flags, growth_row_sums
 from .system import ConcurrentSystem
 
 ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
@@ -338,13 +338,11 @@ def uniqueness_diagnostics(
     residual = float(np.abs(fu - vec[positive] / r).max())
 
     comps, terminal_flags = adsc.positive_components()
-    radii = radii_report(tuple(adsc_radii[ci] for ci in comps))
-    basic = tuple(i for i, b in enumerate(radii.basic) if b)
+    positive_basic = basic_flags([adsc_radii[ci] for ci in comps])
+    basic = tuple(i for i, b in enumerate(positive_basic) if b)
     terminal = tuple(i for i, t in enumerate(terminal_flags) if t)
 
-    strict_ok, literal_disagrees = _null_reachability(
-        adsc, radii_report(adsc_radii).basic
-    )
+    strict_ok, literal_disagrees = _null_reachability(adsc, basic_flags(adsc_radii))
 
     ok = (
         residual <= EIGEN_RESIDUAL_TOL
@@ -364,7 +362,7 @@ def uniqueness_diagnostics(
 
 
 def _null_reachability(
-    adsc: StateCliqueGraph, basic_flags: tuple[bool, ...]
+    adsc: StateCliqueGraph, basic: tuple[bool, ...]
 ) -> tuple[bool, bool]:
     """Null nodes are exactly those strictly below a basic component.
 
@@ -373,18 +371,14 @@ def _null_reachability(
     components themselves, so a disagreement there is informational only.
     """
     cond = adsc.condensation()
-    below = [False] * len(cond.components)
-    stack = [d for b, flag in enumerate(basic_flags) if flag for d in cond.succ[b]]
-    while stack:
-        d = stack.pop()
-        if not below[d]:
-            below[d] = True
-            stack.extend(cond.succ[d])
+    below = reachable(
+        cond.succ, [d for b, flag in enumerate(basic) if flag for d in cond.succ[b]]
+    )
     strict_ok = True
     literal_disagrees = False
     for v, comp in enumerate(cond.comp_of):
         strictly = below[comp]
-        literally = strictly or basic_flags[comp]
+        literally = strictly or basic[comp]
         is_null = not adsc.labels[v]
         if strictly != is_null:
             strict_ok = False

@@ -400,28 +400,13 @@ def _power_radius(succ: Adjacency) -> float:
     raise NonConvergence(f"power iteration did not converge in {POWER_MAX_ITER} steps")
 
 
-@dataclass(frozen=True)
-class ComponentRadiiReport:
-    global_radius: float
-    radii: tuple[float, ...]
-    basic: tuple[bool, ...]
+def basic_flags(radii: Sequence[float]) -> tuple[bool, ...]:
+    """Per component with the given radius: whether it is basic, i.e. its
+    radius matches the global one, their maximum.
 
-
-def component_radii(graph: StateCliqueGraph) -> ComponentRadiiReport:
-    """Spectral radius of each SCC, with basic flags against the global radius."""
-    radii = tuple(
-        component_radius(graph.succ, comp) for comp in graph.condensation().components
-    )
-    return radii_report(radii)
-
-
-def radii_report(radii: tuple[float, ...]) -> ComponentRadiiReport:
-    """Basic flags of components with the given radii; the global radius is
-    their maximum.
-
-    A component is basic when its radius matches the global one within
-    ``BASIC_RTOL`` (relative); radii landing between the two tolerances are
-    surfaced as an error instead of being guessed either way.
+    The match is within ``BASIC_RTOL`` (relative); radii landing between the
+    two tolerances are surfaced as an error instead of being guessed either
+    way.
     """
     global_rho = max_radius(radii)
     basic = []
@@ -435,9 +420,7 @@ def radii_report(radii: tuple[float, ...]) -> ComponentRadiiReport:
             )
         else:
             basic.append(False)
-    return ComponentRadiiReport(
-        global_radius=global_rho, radii=radii, basic=tuple(basic)
-    )
+    return tuple(basic)
 
 
 # ---------------------------------------------------------------- spectral property

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DiamondViolation, NotAccessible, TraceSysError, UnknownState
-from .graphs import tarjan_sccs
+from .graphs import reachable, tarjan_sccs
 from .monoid import Clique, TraceMonoid
 
 
@@ -178,23 +178,12 @@ class ConcurrentSystem:
                     if t >= 0:
                         alive_mask[ci] |= 1 << ai | alive_mask[comp_of[t]]
 
-        def reach(si: int) -> list[bool]:
-            seen = [False] * n
-            seen[si] = True
-            stack = [si]
-            while stack:
-                for t in succ[stack.pop()]:
-                    if not seen[t]:
-                        seen[t] = True
-                        stack.append(t)
-            return seen
-
         unreachable = None
         if len(comps) > 1:
-            si, seen = 0, reach(0)
+            si, seen = 0, reachable(succ, [0])
             if all(seen):  # so state 0 lies in the last-listed component
                 si = next(v for v, ci in enumerate(comp_of) if ci != len(comps) - 1)
-                seen = reach(si)
+                seen = reachable(succ, [si])
             unreachable = (self.states[si], self.states[seen.index(False)])
         accessible = unreachable is None
 

@@ -18,7 +18,7 @@ from tracesys.analysis import (
     uniqueness_diagnostics,
     verify_inversion,
 )
-from tracesys.graphs import build_adsc, build_dsc, classify_nodes
+from tracesys.graphs import build_adsc, build_dsc
 from tracesys.measure import numeric_null_check
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import cross_check
@@ -31,15 +31,6 @@ WIDTH = Fraction(1, 10**12)
 
 def _verdict(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number:2d}: PASS — {text}")
-
-
-def _adsc_with_labels(system):
-    dsc = build_dsc(system)
-    classify_nodes(dsc)
-    adsc = build_adsc(system)
-    pair = {n: l for n, l in zip(dsc.nodes, dsc.labels)}
-    adsc.labels = tuple(pair[(s, c)] for s, c, _i in adsc.nodes)
-    return adsc
 
 
 def test_criterion_01_e1_root(e1):
@@ -99,8 +90,7 @@ def test_criterion_05_e1_mcsc(e1_measure):
 
 def test_criterion_06_e1_null_set(e1, e1_measure):
     dsc = build_dsc(e1)
-    labels = classify_nodes(dsc)
-    nulls = [(s, str(c)) for (s, c), pos in zip(dsc.nodes, labels) if not pos]
+    nulls = [(s, str(c)) for (s, c), pos in zip(dsc.nodes, dsc.labels) if not pos]
     assert nulls == [("s0", "d")]
     numeric = numeric_null_check(e1_measure)  # raises on disagreement
     assert [(s, str(c)) for s, c in numeric.null_nodes] == [("s0", "d")]
@@ -113,8 +103,7 @@ def test_criterion_07_canonical(canonical_abc):
     golden = (3 - 5**0.5) / 2
     assert root.width <= WIDTH
     assert abs(root.approx - golden) <= 1e-12
-    dsc = build_dsc(canonical_abc)
-    labels = classify_nodes(dsc)
+    labels = build_dsc(canonical_abc).labels
     assert len(labels) == 4 and all(labels)
     _verdict(7, "canonical three-letter system: polynomial, root, all positive")
 
@@ -127,8 +116,7 @@ def test_criterion_08_aztec(aztec, aztec_measure):
 
     dsc = build_dsc(aztec)
     assert len(dsc) == 26
-    labels = classify_nodes(dsc)
-    nulls = {(s, str(c)) for (s, c), pos in zip(dsc.nodes, labels) if not pos}
+    nulls = {(s, str(c)) for (s, c), pos in zip(dsc.nodes, dsc.labels) if not pos}
     assert nulls == {
         ("0", "a"), ("0", "b"), ("1", "a"), ("2", "b"),
         ("0p", "d"), ("0p", "e"), ("1p", "e"), ("2p", "d"),
@@ -148,9 +136,7 @@ def test_criterion_08_aztec(aztec, aztec_measure):
 
 def test_criterion_09_twelve(twelve, twelve_measure):
     assert twelve.classify().irreducible
-    dsc = build_dsc(twelve)
-    classify_nodes(dsc)
-    pos = dsc.positive_subgraph()
+    pos = build_dsc(twelve).positive_subgraph()
     cond = pos.condensation()
     terminal_sets = [
         frozenset((pos.nodes[v][0], frozenset(pos.nodes[v][1].letters)) for v in comp)
@@ -203,7 +189,7 @@ def test_criterion_12_oracle(e1, canonical_abc, aztec):
 def test_criterion_13_radii(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         r = characteristic_root(system).approx
-        adsc = _adsc_with_labels(system)
+        adsc = build_adsc(build_dsc(system))
         rho_all = spectral_radius(adsc.succ)
         rho_pos = spectral_radius(adsc.positive_subgraph().succ)
         assert abs(1 / rho_all - r) <= 1e-6, name
@@ -236,11 +222,12 @@ def test_criterion_15_statistics(e1, e1_measure, aztec, aztec_measure):
     # (b) empirical transition frequencies within 4 sigma of the matrix
     walk = sample_mcsc(e1_measure, "s0", 100_000, seed=11)
     dsc = e1_measure.dsc
+    index = {node: i for i, node in enumerate(dsc.nodes)}
     visits = Counter()
     moves = Counter()
     for a, b in zip(walk.nodes, walk.nodes[1:]):
-        visits[dsc.index[a]] += 1
-        moves[(dsc.index[a], dsc.index[b])] += 1
+        visits[index[a]] += 1
+        moves[(index[a], index[b])] += 1
     for v, n_v in visits.items():
         for w in range(len(dsc.nodes)):
             p = float(e1_measure.transition[v, w])

@@ -1,11 +1,9 @@
 from tracesys.dot import dot_condensation, dot_state_clique_graph, dot_states
-from tracesys.graphs import build_dsc, classify_nodes
+from tracesys.graphs import build_dsc
 
 
 def test_dsc_export_e1(e1):
-    dsc = build_dsc(e1)
-    classify_nodes(dsc)
-    text = dot_state_clique_graph(dsc)
+    text = dot_state_clique_graph(build_dsc(e1))
     assert text.count("[label=") == 7
     assert '[label="(s0,d)" fillcolor="lightgrey"]' in text
     assert '[label="(s0,a)" fillcolor="white"]' in text
@@ -20,9 +18,7 @@ def test_dsc_export_deterministic(e1):
 
 
 def test_condensation_export(aztec):
-    dsc = build_dsc(aztec)
-    classify_nodes(dsc)
-    pos = dsc.positive_subgraph()
+    pos = build_dsc(aztec).positive_subgraph()
     text = dot_condensation(pos)
     assert text.count("shape=box") == 3
     assert text.count("peripheries=2") == 1

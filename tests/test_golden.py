@@ -40,21 +40,17 @@ def test_analyze_json_equals_golden(name, tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
-UNIFORM_CELLS = [
-    (name, length, variant)
-    for name, lengths in (
-        ("aztec", (20, 200)), ("two_terminal", (20, 200)), ("path10", (20,)), ("phil5", (20,))
-    )
-    for length in lengths
-    for variant in range(6)
-]
+UNIFORM_GOLDEN = json.loads((GOLDEN_DIR / "uniform_samples.json").read_text())
 
 
-@pytest.mark.parametrize("name, length, variant", UNIFORM_CELLS)
-def test_uniform_samples_equal_golden(name, length, variant, tmp_path, capsys):
-    cell = inputs.uniform_cell(name, length, variant)
-    assert main(_argv(cell.args[0], FILES[name], tmp_path, *cell.args[1:])) == 0
+# every cell of the catalogue, with ids "<system>-<length>-<variant>"
+@pytest.mark.parametrize(
+    "cell",
+    inputs.uniform_catalogue(),
+    ids=lambda cell: cell.key.replace("/L", "-").replace("/v", "-"),
+)
+def test_uniform_samples_equal_golden(cell, tmp_path, capsys):
+    assert main(_argv(cell.args[0], FILES[cell.system], tmp_path, *cell.args[1:])) == 0
     samples = json.loads(capsys.readouterr().out)["samples"]
     digest = hashlib.sha256(json.dumps(samples, separators=(",", ":")).encode()).hexdigest()
-    golden = json.loads((GOLDEN_DIR / "uniform_samples.json").read_text())
-    assert digest == golden[cell.key]
+    assert digest == UNIFORM_GOLDEN[cell.key]

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracesys.errors import TraceSysError
@@ -12,6 +12,7 @@ from tracesys.graphs import (
     condense,
     count_paths,
     count_paths_table,
+    reachable,
     tarjan_sccs,
 )
 from tracesys.monoid import TraceMonoid
@@ -73,7 +74,7 @@ def test_dsc_canonical_is_clique_digraph(canonical_abc):
 # ------------------------------------------------------------ ADSC
 
 def test_adsc_e1(e1):
-    adsc = build_adsc(e1)
+    adsc = build_adsc(build_dsc(e1))
     assert len(adsc) == 9  # five singletons + two 2-cliques of two nodes each
     # chain integrity: non-final chain nodes have out-degree exactly 1
     for v, (s, c, i) in enumerate(adsc.nodes):
@@ -86,7 +87,8 @@ def test_adsc_e1(e1):
 def test_adsc_singletons_isomorphic_to_dsc():
     monoid = TraceMonoid("ab", [])
     system = ConcurrentSystem(monoid, ["s"], {("s", "a"): "s", ("s", "b"): "s"})
-    dsc, adsc = build_dsc(system), build_adsc(system)
+    dsc = build_dsc(system)
+    adsc = build_adsc(dsc)
     assert len(dsc) == len(adsc)
     assert [tuple(s) for s in dsc.succ] == [tuple(s) for s in adsc.succ]
 
@@ -95,14 +97,15 @@ def test_adsc_aztec_size(aztec):
     dsc = build_dsc(aztec)
     two_cliques = sum(1 for _s, c in dsc.nodes if c.size == 2)
     assert two_cliques == 8
-    assert len(build_adsc(aztec)) == 26 + two_cliques
+    assert len(build_adsc(dsc)) == 26 + two_cliques
 
 
 def normal_step_successors(system, dsc):
     """dsc successors by the letter-by-letter normality test."""
+    index = {node: i for i, node in enumerate(dsc.nodes)}
     return tuple(
         tuple(
-            dsc.index[(t, d)]
+            index[(t, d)]
             for d in system.enabled_cliques(t)
             if system.monoid.normal_step(c, d)
         )
@@ -132,15 +135,39 @@ def test_dsc_mask_successors_match_normal_step_on_fixtures(irreducible_fixtures)
         assert dsc.succ == normal_step_successors(system, dsc)
 
 
-def test_adsc_inherits_dsc_labels(irreducible_fixtures):
-    for system in irreducible_fixtures.values():
+def test_adsc_inherits_dsc_labels(reference_systems):
+    """Each dsc label repeats once per letter of its node's clique."""
+    for name, system in reference_systems.items():
         dsc = build_dsc(system)
-        classify_nodes(dsc)
-        adsc = build_adsc(system, dsc)
-        assert adsc.succ == build_adsc(system).succ
-        want = tuple(dsc.labels[dsc.index[(s, c)]] for s, c, _i in adsc.nodes)
-        assert adsc.labels == want
-        assert build_adsc(system).labels is None
+        want = tuple(pos for (_s, c), pos in zip(dsc.nodes, dsc.labels) for _i in range(c.size))
+        assert build_adsc(dsc).labels == want, name
+
+
+# ------------------------------------------------------------ reachability
+
+def _bfs_closure(succ, sources):
+    """Reference: grow the reached set until no arc leaves it."""
+    reached = set(sources)
+    frontier = set(sources)
+    while frontier:
+        frontier = {w for v in frontier for w in succ[v]} - reached
+        reached |= frontier
+    return [v in reached for v in range(len(succ))]
+
+
+@settings(max_examples=200, deadline=None)
+@example(([(0, 1), (), (1,)], []))  # a self-loop and no source
+@example(([(0, 1), (), (1,)], [0, 0]))  # a repeated source
+@example(([(0, 1), (), (1,)], [2]))  # a node that only a source reaches
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n),
+        st.lists(st.integers(0, n - 1), max_size=5),
+    ) if n else st.just(([], []))
+))
+def test_reachable_matches_bfs_closure(case):
+    succ, sources = case
+    assert reachable(succ, sources) == _bfs_closure(succ, sources)
 
 
 # ------------------------------------------------------------ SCC condensation
@@ -169,7 +196,6 @@ def test_condense_deterministic_numbering():
 
 def test_aztec_positive_sccs(aztec):
     dsc = build_dsc(aztec)
-    classify_nodes(dsc)
     cond = dsc.positive_subgraph().condensation()
     assert len(cond.components) == 3
     assert sum(cond.terminal) == 1
@@ -177,7 +203,6 @@ def test_aztec_positive_sccs(aztec):
 
 def test_twelve_terminal_components(twelve):
     dsc = build_dsc(twelve)
-    classify_nodes(dsc)
     pos = dsc.positive_subgraph()
     cond = pos.condensation()
     terminal_sets = [
@@ -196,15 +221,13 @@ def test_twelve_terminal_components(twelve):
 
 def test_classify_e1(e1):
     dsc = build_dsc(e1)
-    labels = classify_nodes(dsc)
-    nulls = [node_names(dsc)[v] for v, pos in enumerate(labels) if not pos]
+    nulls = [node_names(dsc)[v] for v, pos in enumerate(dsc.labels) if not pos]
     assert nulls == [("s0", "d")]
 
 
 def test_classify_aztec(aztec):
     dsc = build_dsc(aztec)
-    labels = classify_nodes(dsc)
-    nulls = {node_names(dsc)[v] for v, pos in enumerate(labels) if not pos}
+    nulls = {node_names(dsc)[v] for v, pos in enumerate(dsc.labels) if not pos}
     assert nulls == {
         ("0", "a"), ("0", "b"), ("1", "a"), ("2", "b"),
         ("0p", "d"), ("0p", "e"), ("1p", "e"), ("2p", "d"),
@@ -212,14 +235,13 @@ def test_classify_aztec(aztec):
 
 
 def test_classify_canonical_all_positive(canonical_abc):
-    dsc = build_dsc(canonical_abc)
-    assert all(classify_nodes(dsc))
+    assert all(build_dsc(canonical_abc).labels)
 
 
 def test_no_arc_from_null_to_positive(irreducible_fixtures):
     for system in irreducible_fixtures.values():
         dsc = build_dsc(system)
-        labels = classify_nodes(dsc)
+        labels = dsc.labels
         for v in range(len(dsc)):
             if not labels[v]:
                 assert all(not labels[w] for w in dsc.succ[v])
@@ -228,7 +250,7 @@ def test_no_arc_from_null_to_positive(irreducible_fixtures):
 def test_maximal_clique_nodes_positive(irreducible_fixtures):
     for system in irreducible_fixtures.values():
         dsc = build_dsc(system)
-        labels = classify_nodes(dsc)
+        labels = dsc.labels
         for v, (s, c) in enumerate(dsc.nodes):
             enabled = system.enabled_cliques(s)
             if not any(d.mask != c.mask and d.mask & c.mask == c.mask for d in enabled):
@@ -258,7 +280,8 @@ def _quadratic_labels(graph):
 def test_classify_matches_quadratic_maximality(reference_systems):
     for name, system in reference_systems.items():
         dsc = build_dsc(system)
-        assert classify_nodes(dsc) == _quadratic_labels(dsc), name
+        assert dsc.labels == _quadratic_labels(dsc), name
+        assert classify_nodes(system, dsc.nodes, dsc.succ) == dsc.labels, name
 
 
 # ------------------------------------------------------------ positive part
@@ -266,8 +289,7 @@ def test_classify_matches_quadratic_maximality(reference_systems):
 def test_positive_components_match_positive_subgraph(reference_systems):
     for name, system in reference_systems.items():
         dsc = build_dsc(system)
-        classify_nodes(dsc)
-        for graph in (dsc, build_adsc(system, dsc)):
+        for graph in (dsc, build_adsc(dsc)):
             comps, terminal = graph.positive_components()
             cond = graph.condensation()
             pos = graph.positive_subgraph()
@@ -281,7 +303,7 @@ def test_positive_components_match_positive_subgraph(reference_systems):
 # ------------------------------------------------------------ counting
 
 def test_count_paths_e1(e1):
-    adsc = build_adsc(e1)
+    adsc = build_adsc(build_dsc(e1))
     assert count_paths(adsc, "s0", "s0", 2) == 4  # aa, ad, dd, bc
     assert count_paths(adsc, "s0", "s0", 0) == 1
     assert count_paths(adsc, "s0", "s1", 0) == 0
@@ -289,10 +311,10 @@ def test_count_paths_e1(e1):
 
 
 def test_count_paths_rejects(e1):
-    adsc = build_adsc(e1)
+    dsc = build_dsc(e1)
+    adsc = build_adsc(dsc)
     with pytest.raises(TraceSysError):
         count_paths(adsc, "s0", None, -1)
-    dsc = build_dsc(e1)
     with pytest.raises(TraceSysError):
         count_paths(dsc, "s0", None, 1)
 
@@ -300,7 +322,7 @@ def test_count_paths_rejects(e1):
 def test_count_matches_oracle(irreducible_fixtures):
     lengths = {"e1": 6, "aztec": 5, "canonical_abc": 6, "twelve": 6}
     for name, system in irreducible_fixtures.items():
-        adsc = build_adsc(system)
+        adsc = build_adsc(build_dsc(system))
         for origin in system.states:
             table = count_paths_table(adsc, origin, lengths[name])
             for n in range(lengths[name] + 1):

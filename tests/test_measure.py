@@ -20,7 +20,7 @@ from tracesys.measure import (
 )
 from tracesys.monoid import TraceMonoid
 from tracesys.sampling import SplitMix64
-from tracesys.spectral import CharacteristicRoot, mobius_matrix, radii_report
+from tracesys.spectral import CharacteristicRoot, basic_flags, mobius_matrix
 from tracesys.system import ConcurrentSystem
 
 TOL = 1e-9
@@ -279,7 +279,7 @@ def test_twelve_has_two_basic_terminal(twelve_measure):
     assert len(rep.terminal_components) == 2
 
 
-def _reference_marks(adsc, basic_flags):
+def _reference_marks(adsc, flags):
     """Per node: (strictly below a basic component, reflexively below one),
     found by testing every basic component against the node's component."""
     cond = adsc.condensation()
@@ -293,7 +293,7 @@ def _reference_marks(adsc, basic_flags):
                     queue.append(v)
         return seen
 
-    reach = {b: reached_from(b) for b, flag in enumerate(basic_flags) if flag}
+    reach = {b: reached_from(b) for b, flag in enumerate(flags) if flag}
     marks = []
     for comp in cond.comp_of:
         strictly = any(b != comp and comp in seen for b, seen in reach.items())
@@ -302,8 +302,8 @@ def _reference_marks(adsc, basic_flags):
     return marks
 
 
-def _reference_null_reachability(adsc, basic_flags):
-    marks = _reference_marks(adsc, basic_flags)
+def _reference_null_reachability(adsc, flags):
+    marks = _reference_marks(adsc, flags)
     nulls = [not pos for pos in adsc.labels]
     return (
         all(strictly == null for (strictly, _l), null in zip(marks, nulls)),
@@ -317,7 +317,7 @@ def test_null_reachability_matches_per_node_search(reference_systems):
         analysis = Analysis(system)
         adsc = analysis.adsc
         n = len(adsc.condensation().components)
-        flag_sets = [radii_report(analysis.adsc_radii).basic]
+        flag_sets = [basic_flags(analysis.adsc_radii)]
         flag_sets += [tuple(rng.random() < 0.2 for _ in range(n)) for _ in range(5)]
         for flags in flag_sets:
             # the true labels, labels under which the strict reading holds,

@@ -1,7 +1,7 @@
 import pytest
 
 from tracesys.errors import CapExceeded
-from tracesys.graphs import build_adsc, count_paths_table
+from tracesys.graphs import build_adsc, build_dsc, count_paths_table
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import cross_check, enumerate_executions
 from tracesys.system import ConcurrentSystem
@@ -58,7 +58,7 @@ def test_cross_check_canonical_matches_series(canonical_abc):
     rep = cross_check(canonical_abc, 8)
     assert rep.ok
     # growth coefficients are the series expansion of 1/(1 - 3z + z^2)
-    table = count_paths_table(build_adsc(canonical_abc), "*", 8)
+    table = count_paths_table(build_adsc(build_dsc(canonical_abc)), "*", 8)
     counts = [table[n].get("*", 0) for n in range(9)]
     series = [1]
     mu = (1, -3, 1)

@@ -26,13 +26,13 @@ from tracesys.errors import (
     TrivialSystem,
 )
 from tracesys.fixtures import ALL_SYSTEMS
-from tracesys.graphs import build_adsc, build_dsc, classify_nodes, tarjan_sccs
+from tracesys.graphs import build_adsc, build_dsc, tarjan_sccs
 from tracesys.monoid import TraceMonoid
 from tracesys.spectral import (
     PolynomialMatrix,
     _refine_step,
+    basic_flags,
     compare_roots,
-    component_radii,
     determinant,
     fraction_free_solve,
     growth_row_sums,
@@ -411,7 +411,7 @@ def test_growth_eval_e1_quarter(e1):
     # cross-check against the truncated counting series
     from tracesys.graphs import count_paths_table
 
-    table = count_paths_table(build_adsc(e1), "s0", 30)
+    table = count_paths_table(build_adsc(build_dsc(e1)), "s0", 30)
     t = Fraction(1, 4)
     series = sum(table[n].get("s0", 0) * t**n for n in range(31))
     assert abs(float(g[0][0]) - float(series)) < 1e-6
@@ -560,7 +560,7 @@ def test_verify_inversion_fails_on_a_wrong_count(
 # ------------------------------------------------------------ spectral radii
 
 def test_spectral_radius_e1(e1):
-    rho = spectral_radius(build_adsc(e1).succ)
+    rho = spectral_radius(build_adsc(build_dsc(e1)).succ)
     assert abs(rho - 2.0) < 1e-6
 
 
@@ -572,53 +572,43 @@ def test_spectral_radius_acyclic():
 def test_spectral_radius_matches_root(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         root = characteristic_root(system)
-        rho = spectral_radius(build_adsc(system).succ)
+        rho = spectral_radius(build_adsc(build_dsc(system)).succ)
         assert abs(1 / rho - root.approx) < 1e-6, name
 
 
 def test_positive_part_same_radius(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
-        adsc = build_adsc(system)
-        dsc = build_dsc(system)
-        classify_nodes(dsc)
-        pair = {n: l for n, l in zip(dsc.nodes, dsc.labels)}
-        adsc.labels = tuple(pair[(s, c)] for s, c, _i in adsc.nodes)
+        adsc = build_adsc(build_dsc(system))
         rho_all = spectral_radius(adsc.succ)
         rho_pos = spectral_radius(adsc.positive_subgraph().succ)
         assert abs(rho_all - rho_pos) < 1e-6, name
 
 
+def _positive_radii(system):
+    """Radii of the positive adsc components, in condensation order."""
+    a = Analysis(system)
+    return [a.adsc_radii[ci] for ci in a.adsc.positive_components()[0]]
+
+
 def test_component_radii_e1(e1):
-    adsc = build_adsc(e1)
-    dsc = build_dsc(e1)
-    classify_nodes(dsc)
-    pair = {n: l for n, l in zip(dsc.nodes, dsc.labels)}
-    adsc.labels = tuple(pair[(s, c)] for s, c, _i in adsc.nodes)
-    rep = component_radii(adsc.positive_subgraph())
-    assert rep.basic == (True,)
-    assert abs(rep.global_radius - 2.0) < 1e-6
+    radii = _positive_radii(e1)
+    assert basic_flags(radii) == (True,)
+    assert abs(spectral.max_radius(radii) - 2.0) < 1e-6
 
 
 def test_component_radii_terminal_equals_basic(aztec, twelve):
     for system in (aztec, twelve):
-        dsc = build_dsc(system)
-        classify_nodes(dsc)
-        adsc = build_adsc(system)
-        pair = {n: l for n, l in zip(dsc.nodes, dsc.labels)}
-        adsc.labels = tuple(pair[(s, c)] for s, c, _i in adsc.nodes)
-        pos = adsc.positive_subgraph()
-        rep = component_radii(pos)
-        cond = pos.condensation()
-        assert tuple(b for b in rep.basic) == tuple(cond.terminal)
+        terminal = build_adsc(build_dsc(system)).positive_subgraph().condensation().terminal
+        assert basic_flags(_positive_radii(system)) == terminal
 
 
-def test_component_radii_ambiguity_surfaces(e1, monkeypatch):
-    adsc = build_adsc(e1)
+def test_basic_flags_ambiguity_surfaces(e1, monkeypatch):
+    radii = Analysis(e1).adsc_radii
     # an artificial band wide enough to catch the null component's radius
     monkeypatch.setattr(spectral, "BASIC_RTOL", 1e-12)
     monkeypatch.setattr(spectral, "AMBIGUOUS_RTOL", 1.0)
     with pytest.raises(AmbiguousBasic):
-        component_radii(adsc)
+        basic_flags(radii)
 
 
 def _two_product_power_radius(succ):
@@ -653,7 +643,8 @@ def _cyclic_components(succ):
 def test_power_radius_bit_equal_to_two_product_loop(reference_systems):
     checked = 0
     for name, system in reference_systems.items():
-        for graph in (build_dsc(system), build_adsc(system)):
+        dsc = build_dsc(system)
+        for graph in (dsc, build_adsc(dsc)):
             for sub in _cyclic_components(graph.succ):
                 assert spectral._power_radius(sub) == _two_product_power_radius(sub), name
                 checked += 1
