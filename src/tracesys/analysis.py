@@ -18,7 +18,7 @@ from functools import cached_property
 from . import measure as measure_mod
 from . import poly, spectral
 from .errors import NoRootInUnitInterval, NotAccessible, NotIrreducible, TrivialSystem
-from .graphs import StateCliqueGraph, build_adsc, build_dsc
+from .graphs import StateCliqueGraph, build_adsc, build_dsc, count_paths_table
 from .measure import UniformMeasure, UniquenessReport
 from .spectral import (
     DEFAULT_PRECISION,
@@ -155,7 +155,8 @@ def growth_eval(
 def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
     """Check mu(z)·G(z) = I up to ``order`` against the execution counts."""
     analysis = Analysis.of(system)
-    return spectral.verify_inversion(analysis.mobius, analysis.adsc, order)
+    tables = [count_paths_table(analysis.adsc, s, order) for s in system.states]
+    return spectral.verify_inversion(analysis.mobius, tables, order)
 
 
 def spectral_property_report(

@@ -186,24 +186,26 @@ class StateCliqueGraph:
 
 
 def build_dsc(system: ConcurrentSystem) -> StateCliqueGraph:
-    """Nodes (state, clique) for enabled non-empty cliques; arcs follow the
-    action and the clique normality relation; labels from :func:`classify_nodes`.
+    """Nodes (state, clique) for the non-empty cliques of ``system.moves``;
+    arcs follow the action and the clique normality relation; labels from
+    :func:`classify_nodes`.
 
+    Nodes follow ``system.moves``, so the nodes of a state are consecutive
+    and the successors of (a, c) are read off the moves at the target of c.
     A successor clique d of c must lie inside the dependence closure of c
     (every letter of d depends on some letter of c), one mask test per
     candidate.
     """
-    monoid = system.monoid
-    enabled = {s: system.enabled_cliques(s) for s in system.states}
-    nodes = [(s, c) for s in system.states for c in enabled[s]]
-    index = {node: i for i, node in enumerate(nodes)}
-    heads = {s: [(d.mask, index[(s, d)]) for d in enabled[s]] for s in system.states}
+    monoid, moves = system.monoid, system.moves
+    nodes = tuple((s, c) for s, m in zip(system.states, moves) for c, _t in m[1:])
+    first = accumulate((len(m) - 1 for m in moves), initial=0)  # each state's first node
+    heads = [[(d.mask, i) for i, (d, _t) in enumerate(m[1:], f)] for m, f in zip(moves, first)]
     succ = []
-    for s, c in nodes:
-        outside = ~monoid.dependence_mask(c)
-        t = system.clique_target(s, c)
-        succ.append(tuple(i for mask, i in heads[t] if not mask & outside))
-    nodes, succ = tuple(nodes), tuple(succ)
+    for m in moves:
+        for c, t in m[1:]:
+            outside = ~monoid.dependence_mask(c)
+            succ.append(tuple(i for mask, i in heads[t] if not mask & outside))
+    succ = tuple(succ)
     return StateCliqueGraph("dsc", system, nodes, succ, classify_nodes(system, nodes, succ))
 
 
@@ -237,8 +239,8 @@ def classify_nodes(
     """
     bits = [1 << i for i in range(len(system.monoid.letters))]
     maximal: dict[str, set[int]] = {}
-    for s in system.states:
-        enabled = {c.mask for c in system.enabled_cliques(s)}
+    for s, moves in zip(system.states, system.moves):
+        enabled = {c.mask for c, _t in moves}
         maximal[s] = {
             mask
             for mask in enabled
@@ -274,9 +276,7 @@ def count_paths_table(
     system = adsc.system
     system.state_index(origin)
     end_target = {
-        i: system.clique_target(s, c)
-        for i, (s, c, k) in enumerate(adsc.nodes)
-        if k == c.size
+        i: system.act(s, c.letters) for i, (s, c, k) in enumerate(adsc.nodes) if k == c.size
     }
     vec = [0] * len(adsc.nodes)
     for i, (s, c, k) in enumerate(adsc.nodes):

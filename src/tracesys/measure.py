@@ -103,18 +103,13 @@ def kernel_cocycle(
 def fibred_valuation(
     system: ConcurrentSystem, root: CharacteristicRoot, u: np.ndarray
 ) -> dict[str, dict[Clique, float]]:
-    """f_a(c) = r^{|c|} Gamma(a, a.c) on enabled cliques, 0 elsewhere."""
+    """f_a(c) = r^{|c|} Gamma(a, a.c) on the pairs of ``system.moves``, 0 elsewhere."""
     r = root.approx
     f: dict[str, dict[Clique, float]] = {}
-    for i, s in enumerate(system.states):
-        row = {}
-        for c in system.monoid.cliques():
-            t = system.clique_target(s, c)
-            if t is None:
-                row[c] = 0.0
-            else:
-                j = system.state_index(t)
-                row[c] = r**c.size * (u[j] / u[i])
+    for i, (s, moves) in enumerate(zip(system.states, system.moves)):
+        row = dict.fromkeys(system.monoid.cliques(), 0.0)
+        for c, j in moves:
+            row[c] = r**c.size * (u[j] / u[i])
         f[s] = row
     return f
 
@@ -125,18 +120,19 @@ def mobius_transform(
     """h_a(c): the alternating superset sum of f_a over the inclusion order.
 
     f_a vanishes off the cliques enabled at a, so the sum runs over the
-    enabled supersets d of c only, in canonical order: O(enabled·cliques)
-    per state.  A disabled d would add ±0.0, and a sum that starts at +0.0
-    never becomes -0.0, so leaving those terms out changes no bit.  Every
-    clique gets an entry, 0.0 where no enabled clique contains it.
+    enabled supersets d of c only, read from ``system.moves`` in canonical
+    order: O(enabled·cliques) per state.  A disabled d would add ±0.0, and
+    a sum that starts at +0.0 never becomes -0.0, so leaving those terms out
+    changes no bit.  Every clique gets an entry, 0.0 where no enabled clique
+    contains it.
     """
     h: dict[str, dict[Clique, float]] = {}
-    for s in system.states:
-        fs, enabled = f[s], system.cliques_from(s)
+    for s, moves in zip(system.states, system.moves):
+        fs = f[s]
         row = {}
         for c in system.monoid.cliques():
             acc = 0.0
-            for d in enabled:
+            for d, _t in moves:
                 if d.contains(c):
                     acc += (-1) ** (d.size - c.size) * fs[d]
             row[c] = acc
@@ -201,24 +197,21 @@ class UniformMeasure:
 
     def cylinder(self, state: str, word) -> float:
         """Measure of the set of infinite executions extending ``word``."""
+        word = tuple(word)
         target = self.system.act(state, word)
         if target is None:
             return 0.0
-        length = sum(1 for _ in word)
-        return self.r**length * self.gamma(state, target)
+        return self.r ** len(word) * self.gamma(state, target)
 
     def identity_residuals(self) -> dict[str, float]:
         """Worst-case violations of the defining identities (for validation)."""
         sys_, h, f, g = self.system, self.h, self.f, self.g
         res = {"cocycle": 0.0, "h_empty": 0.0, "h_nonneg": 0.0, "h_sum": 0.0,
                "h_eq_fg": 0.0, "row_sum": 0.0}
-        n = len(sys_.states)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.u[k] / self.u[i]
-                    rhs = (self.u[j] / self.u[i]) * (self.u[k] / self.u[j])
-                    res["cocycle"] = max(res["cocycle"], abs(lhs - rhs))
+        # max |Gamma(i, k) - Gamma(i, j) Gamma(j, k)|, one n×n slab per i
+        ratio = self.u[None, :] / self.u[:, None]  # ratio[i, j] = Gamma(i, j)
+        for row in ratio:
+            res["cocycle"] = max(res["cocycle"], np.abs(row[None, :] - row[:, None] * ratio).max())
         empty = sys_.monoid.empty_clique()
         for s in sys_.states:
             res["h_empty"] = max(res["h_empty"], abs(h[s][empty]))

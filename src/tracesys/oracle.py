@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import Analysis, verify_inversion
+from . import spectral
+from .analysis import Analysis
 from .errors import CapExceeded
 from .graphs import count_paths_table
 from .monoid import NormalForm
@@ -81,10 +82,10 @@ def cross_check(system: ConcurrentSystem, max_len: int) -> CrossCheckReport:
     """Oracle counts vs. path-counting DP vs. series inversion, all exact."""
     if max_len > DEFAULT_CAP:
         raise CapExceeded(f"length {max_len} exceeds the oracle cap {DEFAULT_CAP}")
-    adsc = Analysis.of(system).adsc  # shared with verify_inversion below
+    analysis = Analysis.of(system)
+    tables = [count_paths_table(analysis.adsc, s, max_len) for s in system.states]
     mismatches = []
-    for origin in system.states:
-        table = count_paths_table(adsc, origin, max_len)
+    for origin, table in zip(system.states, tables):
         for n in range(max_len + 1):
             exact = enumerate_executions(system, origin, n)
             for target in system.states:
@@ -92,7 +93,7 @@ def cross_check(system: ConcurrentSystem, max_len: int) -> CrossCheckReport:
                 got = table[n].get(target, 0)
                 if want != got:
                     mismatches.append((origin, target, n, want, got))
-    inversion = verify_inversion(system, max_len)
+    inversion = spectral.verify_inversion(analysis.mobius, tables, max_len)
     return CrossCheckReport(
         max_len=max_len,
         ok=not mismatches and inversion.ok,

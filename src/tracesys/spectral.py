@@ -19,7 +19,7 @@ import numpy as np
 
 from . import poly
 from .errors import AmbiguousBasic, NonConvergence, SingularAtT, TraceSysError
-from .graphs import Adjacency, StateCliqueGraph, count_paths_table, tarjan_sccs
+from .graphs import Adjacency, tarjan_sccs
 from .system import ConcurrentSystem
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
@@ -53,7 +53,8 @@ class PolynomialMatrix:
 def mobius_matrix(
     system: ConcurrentSystem, without: str | None = None
 ) -> PolynomialMatrix:
-    """Entry (a, b): alternating count of enabled cliques leading a to b.
+    """Entry (a, b): alternating count of enabled cliques leading a to b,
+    one term per pair of ``system.moves``.
 
     With ``without``, the cliques that contain that letter are skipped,
     which gives the matrix of the system restricted to the other letters.
@@ -62,13 +63,10 @@ def mobius_matrix(
     n = len(system.states)
     deg = len(system.monoid.letters)
     rows = [[[0] * (deg + 1) for _ in range(n)] for _ in range(n)]
-    for i, s in enumerate(system.states):
-        for c in system.cliques_from(s):
-            if c.mask & skip:
-                continue
-            t = system.clique_target(s, c)
-            j = system.state_index(t)
-            rows[i][j][c.size] += (-1) ** c.size
+    for row, moves in zip(rows, system.moves):
+        for c, j in moves:
+            if not c.mask & skip:
+                row[j][c.size] += (-1) ** c.size
     return PolynomialMatrix(
         system.states,
         tuple(tuple(poly.normalize(e) for e in row) for row in rows),
@@ -308,11 +306,15 @@ class InversionReport:
     failures: tuple[tuple, ...]  # (n, side, origin, target, value)
 
 
-def verify_inversion(pm: PolynomialMatrix, adsc: StateCliqueGraph, order: int) -> InversionReport:
+def verify_inversion(
+    pm: PolynomialMatrix, tables: Sequence[list[dict[str, int]]], order: int
+) -> InversionReport:
     """Check mu(z)·G(z) = I up to ``order`` against the execution counts.
 
     mu(z) is the alternating clique matrix M(z) and G_m[a][b] counts the
-    executions of length m from a to b.  The check is exact big-integer
+    executions of length m from a to b: ``tables`` holds one
+    ``count_paths_table`` per state of ``pm``, in order, each of length at
+    least ``order`` + 1.  The check is exact big-integer
     arithmetic and one-sided: the constant term mu_0 is the identity (the
     empty clique leads every state to itself), so mu is invertible as a
     power series, and a truncated left inverse is the truncation of
@@ -323,10 +325,7 @@ def verify_inversion(pm: PolynomialMatrix, adsc: StateCliqueGraph, order: int) -
     states = pm.states
     col = {t: j for j, t in enumerate(states)}
     # counts[l][m]: the non-zero entries (j, G_m[l][j]) of row l
-    counts = [
-        [[(col[t], x) for t, x in row.items()] for row in table]
-        for table in (count_paths_table(adsc, s, order) for s in states)
-    ]
+    counts = [[[(col[t], x) for t, x in row.items()] for row in table] for table in tables]
     # mu[i]: the non-zero coefficients (k, l, mu_k[i][l]) of row i
     mu = [
         [(k, l, c) for l, e in enumerate(row) for k, c in enumerate(e) if c]

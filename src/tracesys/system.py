@@ -30,7 +30,11 @@ class ConcurrentSystem:
     """Finite state set, trace monoid, and a partial action (sink-completed).
 
     Unspecified (state, letter) entries default to the sink.  Immutable
-    after validation; every query is a pure function.
+    after validation; every query is a pure function.  ``moves[i]`` lists
+    the pairs (clique, target index) of the cliques enabled at state ``i``,
+    the empty clique first (leading ``i`` to itself), in canonical clique
+    order: the states-and-cliques pairs that M(z), the graphs and the
+    measure tables all range over, enumerated once.
     """
 
     def __init__(
@@ -62,8 +66,10 @@ class ConcurrentSystem:
         self._table = tuple(tuple(row) for row in table)
 
         self._check_diamonds()
-        self._clique_targets: tuple[dict[int, int], ...] = tuple(
-            self._compute_clique_targets(i) for i in range(n)
+        cliques = monoid.cliques()
+        self.moves: tuple[tuple[tuple[Clique, int], ...], ...] = tuple(
+            tuple((c, ti) for c in cliques for ti in [self._fold(si, c.letters)] if ti >= 0)
+            for si in range(n)
         )
         self._classification: SystemClassification | None = None
         self._analysis = None  # weak reference, set by tracesys.analysis.Analysis.of
@@ -104,34 +110,11 @@ class ConcurrentSystem:
                         self.states[si], self.monoid.letters[ai], self.monoid.letters[bi]
                     )
 
-    def _compute_clique_targets(self, si: int) -> dict[int, int]:
-        """Map of enabled clique masks to target indices at one state."""
-        out = {}
-        for c in self.monoid.cliques():
-            ti = si
-            for a in c.letters:
-                ti = self._step(ti, self.monoid.letter_index(a))
-                if ti < 0:
-                    break
-            if ti >= 0:
-                out[c.mask] = ti
-        return out
-
     # ------------------------------------------------------------ cliques at a state
-
-    def clique_target(self, state: str, clique: Clique) -> str | None:
-        ti = self._clique_targets[self.state_index(state)].get(clique.mask, -1)
-        return None if ti < 0 else self.states[ti]
 
     def enabled_cliques(self, state: str) -> tuple[Clique, ...]:
         """Non-empty enabled cliques at the state, in canonical order."""
-        enabled = self._clique_targets[self.state_index(state)]
-        return tuple(c for c in self.monoid.nonempty_cliques() if c.mask in enabled)
-
-    def cliques_from(self, state: str) -> tuple[Clique, ...]:
-        """Enabled cliques including the empty one."""
-        enabled = self._clique_targets[self.state_index(state)]
-        return tuple(c for c in self.monoid.cliques() if c.mask in enabled)
+        return tuple(c for c, _t in self.moves[self.state_index(state)][1:])
 
     def enabled_letters(self, state: str) -> tuple[str, ...]:
         si = self.state_index(state)

@@ -110,7 +110,7 @@ def normal_step_successors(system, dsc):
             if system.monoid.normal_step(c, d)
         )
         for s, c in dsc.nodes
-        for t in [system.clique_target(s, c)]
+        for t in [system.act(s, c.letters)]
     )
 
 

@@ -134,3 +134,43 @@ def test_entry_points_live_in_analysis_with_their_signature(name):
     fn = getattr(tracesys, name)
     assert fn.__module__ == "tracesys.analysis"
     assert str(inspect.signature(fn)) == ENTRY_POINTS[name]
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds in ``tree``, with its line; ``__future__``
+    imports bind none."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(((a.asname or a.name).split(".")[0], node.lineno) for a in node.names)
+    return out
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those inside quoted annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = [
+        a for node in ast.walk(tree)
+        for a in [getattr(node, "annotation", None), getattr(node, "returns", None)] if a
+    ]
+    for node in (n for a in annotations for n in ast.walk(a)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            expr = ast.parse(node.value, mode="eval")
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__"}))
+def test_no_unused_import(name):
+    tree = _tree(name)
+    used = _used_names(tree)
+    unused = sorted((line, n) for n, line in _imported_names(tree).items() if n not in used)
+    assert not unused, f"{name}.py imports names it never uses: {unused}"
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    imported = set(_imported_names(_tree("__init__")))
+    assert len(tracesys.__all__) == len(set(tracesys.__all__))
+    assert set(tracesys.__all__) == imported

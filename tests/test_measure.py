@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +204,36 @@ def test_identity_residuals(name, request):
     res = m.identity_residuals()
     for key, value in res.items():
         assert value <= TOL, (key, value)
+
+
+def _cocycle_residual_by_triples(u):
+    """max |u_k/u_i - (u_j/u_i)(u_k/u_j)| over every (i, j, k), one at a time."""
+    out = 0.0
+    n = len(u)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out = max(out, abs(u[k] / u[i] - (u[j] / u[i]) * (u[k] / u[j])))
+    return out
+
+
+@pytest.mark.parametrize("name", ["e1_measure", "aztec_measure", "twelve_measure"])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_cocycle_residual_equals_the_triple_loop(name, seed, request):
+    m = request.getfixturevalue(name)
+    if seed is not None:  # the same tables under a random positive cocycle vector
+        m = replace(m, u=np.random.default_rng(seed).uniform(0.01, 100.0, len(m.u)))
+    got = m.identity_residuals()["cocycle"]
+    assert float(got).hex() == float(_cocycle_residual_by_triples(m.u)).hex()
+
+
+def test_cylinder_reads_a_one_shot_word(aztec_measure):
+    for s in aztec_measure.system.states:
+        for word in ("ab", "ba", "abcd", "aa", ""):
+            want = aztec_measure.cylinder(s, tuple(word))
+            assert aztec_measure.cylinder(s, iter(word)) == want
+            assert aztec_measure.cylinder(s, (a for a in word)) == want
+    assert aztec_measure.cylinder("0", (a for a in "ab")) > 0.0
 
 
 def test_chain_condition_on_cylinders(e1_measure):

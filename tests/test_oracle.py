@@ -1,5 +1,7 @@
 import pytest
+from test_analysis import _count_calls
 
+from tracesys import graphs, spectral
 from tracesys.errors import CapExceeded
 from tracesys.graphs import build_adsc, build_dsc, count_paths_table
 from tracesys.monoid import TraceMonoid
@@ -72,6 +74,13 @@ def test_cross_check_canonical_matches_series(canonical_abc):
 
 def test_cross_check_aztec_small(aztec):
     assert cross_check(aztec, 4).ok
+
+
+def test_cross_check_counts_each_origin_once(aztec, monkeypatch):
+    counts = _count_calls(monkeypatch, [(graphs, "count_paths_table"), (spectral, "verify_inversion")])
+    rep = cross_check(aztec, 5)
+    assert rep.ok and rep.inversion_ok
+    assert counts == {"count_paths_table": len(aztec.states), "verify_inversion": 1}
 
 
 def test_concatenation_decomposition(e1):

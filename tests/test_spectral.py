@@ -26,7 +26,7 @@ from tracesys.errors import (
     TrivialSystem,
 )
 from tracesys.fixtures import ALL_SYSTEMS
-from tracesys.graphs import build_adsc, build_dsc, tarjan_sccs
+from tracesys.graphs import build_adsc, build_dsc, count_paths_table, tarjan_sccs
 from tracesys.monoid import TraceMonoid
 from tracesys.spectral import (
     PolynomialMatrix,
@@ -409,8 +409,6 @@ def test_growth_eval_e1_quarter(e1):
             acc = sum(mu[i][k] * g[k][j] for k in range(2))
             assert acc == (1 if i == j else 0)
     # cross-check against the truncated counting series
-    from tracesys.graphs import count_paths_table
-
     table = count_paths_table(build_adsc(build_dsc(e1)), "s0", 30)
     t = Fraction(1, 4)
     series = sum(table[n].get("s0", 0) * t**n for n in range(31))
@@ -481,18 +479,24 @@ def test_verify_inversion_fixtures(irreducible_fixtures):
         assert rep.ok, (name, rep.failures[:3])
 
 
-def _two_sided_inversion(system, order):
-    """Failures of mu*G = I and G*mu = I, by the dense two-sided convolution
-    that ``verify_inversion`` ran before it became one-sided."""
-    analysis = Analysis.of(system)
-    pm = analysis.mobius
+def _count_tables(system, order):
+    """One execution-count table per state, in state order."""
+    adsc = Analysis.of(system).adsc
+    return [count_paths_table(adsc, s, order) for s in system.states]
+
+
+def _two_sided_inversion(system, tables):
+    """Failures of mu*G = I and G*mu = I against the count ``tables``, by the
+    dense two-sided convolution that ``verify_inversion`` ran before it
+    became one-sided."""
+    pm = Analysis.of(system).mobius
     n = pm.dim
+    order = len(tables[0]) - 1
     max_deg = max(poly.degree(e) for row in pm.entries for e in row)
     mu = [
         [[e[k] if k < len(e) else 0 for e in row] for row in pm.entries]
         for k in range(max_deg + 1)
     ]
-    tables = [spectral.count_paths_table(analysis.adsc, s, order) for s in system.states]
     g = [
         [[tables[i][m].get(t, 0) for t in system.states] for i in range(n)]
         for m in range(order + 1)
@@ -522,7 +526,7 @@ def _two_sided_inversion(system, order):
 def test_verify_inversion_matches_two_sided_check(reference_systems):
     for name, system in reference_systems.items():
         rep = verify_inversion(system, 8)
-        reference = _two_sided_inversion(system, 8)
+        reference = _two_sided_inversion(system, _count_tables(system, 8))
         assert rep.ok and not reference, name
         assert rep.failures == tuple(f for f in reference if f[1] == "mu*G"), name
 
@@ -533,26 +537,18 @@ def test_verify_inversion_matches_two_sided_check(reference_systems):
     ("two_terminal", 5, "0", "11"),
     ("phil3", 2, None, None),
 ])
-def test_verify_inversion_fails_on_a_wrong_count(
-    reference_systems, monkeypatch, name, m, origin, target
-):
+def test_verify_inversion_fails_on_a_wrong_count(reference_systems, name, m, origin, target):
     system = reference_systems[name]
     origin = origin or system.states[-1]
     target = target or system.states[0]
-    real = spectral.count_paths_table
-
-    def tampered(adsc, start, max_len):
-        table = real(adsc, start, max_len)
-        if start == origin:
-            table[m][target] = table[m].get(target, 0) + 1
-        return table
-
-    monkeypatch.setattr(spectral, "count_paths_table", tampered)
-    rep = verify_inversion(system, 6)
+    tables = _count_tables(system, 6)
+    row = tables[system.state_index(origin)][m]
+    row[target] = row.get(target, 0) + 1
+    rep = spectral.verify_inversion(Analysis.of(system).mobius, tables, 6)
     assert not rep.ok
     # mu_0 = I: the extra count shows first in row ``origin`` at length m
     assert rep.failures[0] == (m, "mu*G", origin, target, 1)
-    reference = _two_sided_inversion(system, 6)
+    reference = _two_sided_inversion(system, tables)
     assert reference and reference[0] == rep.failures[0]
     assert rep.failures == tuple(f for f in reference if f[1] == "mu*G")
 

@@ -3,11 +3,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_petri import cycle_nets
 
 from tracesys.errors import DiamondViolation, NotAccessible, UnknownLetter, UnknownState
 from tracesys.fixtures import two_state_system
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import enumerate_executions
+from tracesys.petri import parse_petri, petri_to_system
 from tracesys.system import ConcurrentSystem, SystemClassification
 
 
@@ -95,12 +97,46 @@ def test_bot_absorption(e1):
 def test_enabled_cliques_e1(e1):
     assert [str(c) for c in e1.enabled_cliques("s0")] == ["a", "b", "d", "ad", "bd"]
     assert [str(c) for c in e1.enabled_cliques("s1")] == ["c", "d"]
-    assert [str(c) for c in e1.cliques_from("s1")] == ["ε", "c", "d"]
+    assert [(str(c), e1.states[t]) for c, t in e1.moves[e1.state_index("s1")]] == [
+        ("ε", "s1"), ("c", "s0"), ("d", "s1")
+    ]
     assert e1.enabled_letters("s0") == ("a", "b", "d")
 
 
 def test_enabled_cliques_canonical(canonical_abc):
     assert canonical_abc.enabled_cliques("*") == canonical_abc.monoid.nonempty_cliques()
+
+
+def folded_moves(system):
+    """Per state: (clique, target index) for every clique whose letters the
+    action folds to a state, by one ``act`` call per clique."""
+    return tuple(
+        tuple(
+            (c, system.state_index(t))
+            for c in system.monoid.cliques()
+            for t in [system.act(s, c.letters)]
+            if t is not None
+        )
+        for s in system.states
+    )
+
+
+def check_moves(system):
+    assert system.moves == folded_moves(system)
+    for i, s in enumerate(system.states):
+        assert system.moves[i][0] == (system.monoid.empty_clique(), i)
+        assert system.enabled_cliques(s) == tuple(c for c, _t in system.moves[i][1:])
+
+
+def test_moves_equal_the_folded_action(reference_systems):
+    for system in reference_systems.values():
+        check_moves(system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=cycle_nets())
+def test_moves_on_random_cycle_nets(text):
+    check_moves(petri_to_system(parse_petri(text)))
 
 
 # ------------------------------------------------------------ classification
