@@ -257,38 +257,41 @@ def classify_nodes(
 # ---------------------------------------------------------------- path counting
 
 def _check_adsc(adsc: StateCliqueGraph) -> None:
-    if not adsc.kind.startswith("adsc"):
+    if adsc.kind != "adsc":
         raise TraceSysError("path counting requires the augmented graph")
 
 
 def count_paths_table(
     adsc: StateCliqueGraph, origin: str, max_len: int
-) -> list[dict[str, int]]:
-    """Execution counts from ``origin``: one {target: count} dict per length.
+) -> list[list[int]]:
+    """Execution counts from ``origin``: one row per length, indexed by state.
 
-    Entry ``n`` maps each reachable target state to the number of
-    executions of length exactly ``n`` ending there (absent = 0).  Exact
-    big-integer dynamic programming over the augmented graph.
+    Entry ``[n][j]`` counts the executions of length exactly ``n`` from
+    ``origin`` to state ``j``, by exact big-integer dynamic programming over
+    the augmented graph.  Its chains follow ``system.moves`` (see
+    :func:`build_dsc`), so one walk over that table finds each chain's first
+    triple, last triple and target index.
     """
     if max_len < 0:
         raise TraceSysError("length must be non-negative")
     _check_adsc(adsc)
     system = adsc.system
-    system.state_index(origin)
-    end_target = {
-        i: system.act(s, c.letters) for i, (s, c, k) in enumerate(adsc.nodes) if k == c.size
-    }
+    start = system.state_index(origin)
     vec = [0] * len(adsc.nodes)
-    for i, (s, c, k) in enumerate(adsc.nodes):
-        if s == origin and k == 1:
-            vec[i] = 1
-    table: list[dict[str, int]] = [{origin: 1}]
+    ends = []  # (last triple, target index) of every chain
+    v = 0
+    for i, moves in enumerate(system.moves):
+        for c, t in moves[1:]:
+            if i == start:
+                vec[v] = 1
+            v += c.size
+            ends.append((v - 1, t))
+    table = [[int(j == start) for j in range(len(system.states))]]
     for _ in range(max_len):
-        counts: dict[str, int] = {}
-        for i, t in end_target.items():
-            if vec[i]:
-                counts[t] = counts.get(t, 0) + vec[i]
-        table.append({s: counts[s] for s in system.states if s in counts})
+        row = [0] * len(system.states)
+        for v, t in ends:
+            row[t] += vec[v]
+        table.append(row)
         nxt = [0] * len(adsc.nodes)
         for v, x in enumerate(vec):
             if x:
@@ -301,11 +304,8 @@ def count_paths_table(
 def count_paths(
     adsc: StateCliqueGraph, origin: str, target: str | None, n: int
 ) -> int:
-    """Number of executions of length ``n`` from ``origin`` (to ``target``)."""
-    if target is not None:
-        adsc.system.state_index(target)
-    table = count_paths_table(adsc, origin, n)
-    counts = table[n]
-    if target is None:
-        return sum(counts.values())
-    return counts.get(target, 0)
+    """Number of executions of length ``n`` from ``origin`` (to ``target``):
+    the sum of row ``n`` of :func:`count_paths_table`, or its ``target`` entry."""
+    j = None if target is None else adsc.system.state_index(target)
+    row = count_paths_table(adsc, origin, n)[n]
+    return sum(row) if j is None else row[j]

@@ -119,23 +119,26 @@ def mobius_transform(
 ) -> dict[str, dict[Clique, float]]:
     """h_a(c): the alternating superset sum of f_a over the inclusion order.
 
-    f_a vanishes off the cliques enabled at a, so the sum runs over the
-    enabled supersets d of c only, read from ``system.moves`` in canonical
-    order: O(enabled·cliques) per state.  A disabled d would add ±0.0, and
-    a sum that starts at +0.0 never becomes -0.0, so leaving those terms out
-    changes no bit.  Every clique gets an entry, 0.0 where no enabled clique
-    contains it.
+    f_a vanishes off the cliques enabled at a, so each enabled d, in the
+    canonical order of ``system.moves``, adds (-1)^(|d|-|c|)·f_a(d) to every
+    subset c of d: Σ 2^|d| terms per state, and each h_a(c) sums the terms
+    of its enabled supersets in canonical order.  A disabled d would add
+    ±0.0, and a sum that starts at +0.0 never becomes -0.0, so leaving those
+    terms out changes no bit.  Cliques in no enabled clique get 0.0.
     """
+    by_mask = {c.mask: c for c in system.monoid.cliques()}
     h: dict[str, dict[Clique, float]] = {}
     for s, moves in zip(system.states, system.moves):
         fs = f[s]
-        row = {}
-        for c in system.monoid.cliques():
-            acc = 0.0
-            for d, _t in moves:
-                if d.contains(c):
-                    acc += (-1) ** (d.size - c.size) * fs[d]
-            row[c] = acc
+        row = dict.fromkeys(by_mask.values(), 0.0)
+        for d, _t in moves:
+            sub = d.mask
+            while True:  # the submasks of d, d first
+                c = by_mask[sub]
+                row[c] += (-1) ** (d.size - c.size) * fs[d]
+                if not sub:
+                    break
+                sub = (sub - 1) & d.mask
         h[s] = row
     return h
 

@@ -36,9 +36,6 @@ class Clique:
     def size(self) -> int:
         return len(self.letters)
 
-    def contains(self, other: "Clique") -> bool:
-        return self.mask | other.mask == self.mask
-
     def __str__(self) -> str:
         return "".join(self.letters) if self.letters else "ε"
 

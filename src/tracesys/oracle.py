@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import spectral
 from .analysis import Analysis
-from .errors import CapExceeded
+from .errors import CapExceeded, TraceSysError
 from .graphs import count_paths_table
 from .monoid import NormalForm
 from .system import ConcurrentSystem
@@ -39,6 +39,8 @@ def enumerate_executions(
     system: ConcurrentSystem, origin: str, n: int, cap: int = DEFAULT_CAP
 ) -> ExecutionSet:
     """Scan all enabled words of length ``n``, dedupe by normal form."""
+    if n < 0:
+        raise TraceSysError("length must be non-negative")
     if n > cap:
         raise CapExceeded(f"length {n} exceeds the oracle cap {cap}")
     start = system.state_index(origin)
@@ -88,9 +90,8 @@ def cross_check(system: ConcurrentSystem, max_len: int) -> CrossCheckReport:
     for origin, table in zip(system.states, tables):
         for n in range(max_len + 1):
             exact = enumerate_executions(system, origin, n)
-            for target in system.states:
+            for target, got in zip(system.states, table[n]):
                 want = exact.by_target.get(target, 0)
-                got = table[n].get(target, 0)
                 if want != got:
                     mismatches.append((origin, target, n, want, got))
     inversion = spectral.verify_inversion(analysis.mobius, tables, max_len)

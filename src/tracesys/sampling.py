@@ -131,18 +131,13 @@ class UniformExecutionSampler:
         # held, so that later calls on this system share its dsc and adsc
         self._analysis = Analysis.of(system)
         self._adsc = adsc = self._analysis.adsc
-        n_nodes = len(adsc.nodes)
 
-        is_end = [c.size == i for (_s, c, i) in adsc.nodes]
-        paths = [[0] * n_nodes for _ in range(length + 1)]
+        paths = [[0] * len(adsc.nodes)]
         if length >= 1:
-            for v in range(n_nodes):
-                paths[1][v] = 1 if is_end[v] else 0
-            for m in range(2, length + 1):
-                prev = paths[m - 1]
-                row = paths[m]
-                for v in range(n_nodes):
-                    row[v] = sum(prev[w] for w in adsc.succ[v])
+            paths.append([int(c.size == i) for _s, c, i in adsc.nodes])
+        for _ in range(2, length + 1):
+            prev = paths[-1].__getitem__
+            paths.append([sum(map(prev, out)) for out in adsc.succ])
         self._paths = paths
 
         self._start_nodes = [
@@ -171,6 +166,8 @@ class UniformExecutionSampler:
         return tuple(word)
 
     def first_clique(self, word: tuple[str, ...]) -> Clique:
+        if not word:
+            raise TraceSysError("the empty execution has no first clique")
         return self.system.monoid.normal_form(word).cliques[0]
 
     def _letter(self, v: int) -> str:
@@ -221,6 +218,8 @@ def empirical_first_clique(
     Diagnostic only: total-variation distance and per-clique z-scores
     against the law of the first clique under the uniform measure.
     """
+    if length < 1:
+        raise TraceSysError("length must be positive: the empty execution has no first clique")
     if samples <= 0:
         raise TraceSysError("samples must be positive")
     sampler = UniformExecutionSampler(system, start, length)

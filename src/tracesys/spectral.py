@@ -307,25 +307,24 @@ class InversionReport:
 
 
 def verify_inversion(
-    pm: PolynomialMatrix, tables: Sequence[list[dict[str, int]]], order: int
+    pm: PolynomialMatrix, tables: Sequence[list[list[int]]], order: int
 ) -> InversionReport:
     """Check mu(z)·G(z) = I up to ``order`` against the execution counts.
 
     mu(z) is the alternating clique matrix M(z) and G_m[a][b] counts the
     executions of length m from a to b: ``tables`` holds one
     ``count_paths_table`` per state of ``pm``, in order, each of length at
-    least ``order`` + 1.  The check is exact big-integer
-    arithmetic and one-sided: the constant term mu_0 is the identity (the
-    empty clique leads every state to itself), so mu is invertible as a
-    power series, and a truncated left inverse is the truncation of
-    mu^{-1}, hence a truncated right inverse too.  Each row of the product
-    is accumulated over the non-zero coefficients of mu; failures are
+    least ``order`` + 1, its rows indexed by state like those of ``pm``.
+    The check is exact big-integer arithmetic and one-sided: mu_0 is the
+    identity (the empty clique leads every state to itself), so mu is
+    invertible as a power series, and a truncated left inverse is the
+    truncation of mu^{-1}, hence a truncated right inverse too.  Each row
+    of the product sums the non-zero terms only; failures are
     (m, "mu*G", origin, target, value) in the order (m, origin, target).
     """
     states = pm.states
-    col = {t: j for j, t in enumerate(states)}
     # counts[l][m]: the non-zero entries (j, G_m[l][j]) of row l
-    counts = [[[(col[t], x) for t, x in row.items()] for row in table] for table in tables]
+    counts = [[[(j, x) for j, x in enumerate(row) if x] for row in table] for table in tables]
     # mu[i]: the non-zero coefficients (k, l, mu_k[i][l]) of row i
     mu = [
         [(k, l, c) for l, e in enumerate(row) for k, c in enumerate(e) if c]

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_petri import cycle_nets
 
 from tracesys.errors import TraceSysError
 from tracesys.graphs import (
@@ -17,6 +18,7 @@ from tracesys.graphs import (
 )
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import enumerate_executions
+from tracesys.petri import parse_petri, petri_to_system
 from tracesys.system import ConcurrentSystem
 
 
@@ -319,6 +321,56 @@ def test_count_paths_rejects(e1):
         count_paths(dsc, "s0", None, 1)
 
 
+def test_count_paths_rejects_the_positive_subgraph(e1):
+    # its chains do not follow the moves table, and its paths are not executions
+    with pytest.raises(TraceSysError):
+        count_paths_table(build_adsc(build_dsc(e1)).positive_subgraph(), "s0", 2)
+
+
+def _count_table_by_names(adsc, origin, max_len):
+    """Reference: the name-keyed DP, one {target: count} dict per length,
+    with one ``act`` fold per chain end."""
+    system = adsc.system
+    end_target = {
+        i: system.act(s, c.letters) for i, (s, c, k) in enumerate(adsc.nodes) if k == c.size
+    }
+    vec = [int(s == origin and k == 1) for s, _c, k in adsc.nodes]
+    table = [{origin: 1}]
+    for _ in range(max_len):
+        counts = {}
+        for i, t in end_target.items():
+            if vec[i]:
+                counts[t] = counts.get(t, 0) + vec[i]
+        table.append(counts)
+        nxt = [0] * len(adsc.nodes)
+        for v, x in enumerate(vec):
+            for w in adsc.succ[v]:
+                nxt[w] += x
+        vec = nxt
+    return table
+
+
+def check_count_rows(system, max_len):
+    adsc = build_adsc(build_dsc(system))
+    for origin in system.states:
+        want = [
+            [row.get(t, 0) for t in system.states]
+            for row in _count_table_by_names(adsc, origin, max_len)
+        ]
+        assert count_paths_table(adsc, origin, max_len) == want, origin
+
+
+def test_count_rows_match_the_name_keyed_dp(reference_systems):
+    for name, system in reference_systems.items():
+        check_count_rows(system, 7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=cycle_nets())
+def test_count_rows_on_random_cycle_nets(text):
+    check_count_rows(petri_to_system(parse_petri(text)), 6)
+
+
 def test_count_matches_oracle(irreducible_fixtures):
     lengths = {"e1": 6, "aztec": 5, "canonical_abc": 6, "twelve": 6}
     for name, system in irreducible_fixtures.items():
@@ -327,4 +379,4 @@ def test_count_matches_oracle(irreducible_fixtures):
             table = count_paths_table(adsc, origin, lengths[name])
             for n in range(lengths[name] + 1):
                 exact = enumerate_executions(system, origin, n)
-                assert table[n] == exact.by_target, (name, origin, n)
+                assert table[n] == [exact.count(t) for t in system.states], (name, origin, n)

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_petri import cycle_nets
 
 from tracesys.analysis import Analysis, uniform_measure, uniqueness_diagnostics
 
@@ -18,8 +21,10 @@ from tracesys.measure import (
     _null_reachability,
     numeric_null_check,
     kernel_cocycle,
+    mobius_transform,
 )
 from tracesys.monoid import TraceMonoid
+from tracesys.petri import parse_petri, petri_to_system
 from tracesys.sampling import SplitMix64
 from tracesys.spectral import CharacteristicRoot, basic_flags, mobius_matrix
 from tracesys.system import ConcurrentSystem
@@ -192,6 +197,49 @@ def test_tables_bit_equal_to_reference(reference_systems):
             map(float.hex, m.ravel().tolist())
         ), name
         assert measure.unreachable == unreachable, name
+
+
+def _h_by_superset_scan(system, f):
+    """Reference: h_a(c) summed over the enabled supersets d of c, one
+    inclusion test per (clique, enabled clique) pair."""
+    h = {}
+    for s, moves in zip(system.states, system.moves):
+        row = {}
+        for c in system.monoid.cliques():
+            acc = 0.0
+            for d, _t in moves:
+                if d.mask | c.mask == d.mask:
+                    acc += (-1) ** (d.size - c.size) * f[s][d]
+            row[c] = acc
+        h[s] = row
+    return h
+
+
+def check_h_bits(system, f):
+    got, want = mobius_transform(system, f), _h_by_superset_scan(system, f)
+    assert [(s, c, float.hex(v)) for s in got for c, v in got[s].items()] == [
+        (s, c, float.hex(v)) for s in want for c, v in want[s].items()
+    ]
+
+
+def test_h_by_subsets_equals_the_superset_scan(reference_systems):
+    for name, system in reference_systems.items():
+        check_h_bits(system, Analysis.of(system).measure().f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=cycle_nets(), seed=st.integers(0, 2**32 - 1))
+def test_h_by_subsets_on_random_cycle_nets(text, seed):
+    # f of mixed signs and magnitudes, so that a change in the order of the
+    # terms would show in the last bits
+    system = petri_to_system(parse_petri(text))
+    rng = random.Random(seed)
+    f = {}
+    for s, moves in zip(system.states, system.moves):
+        f[s] = dict.fromkeys(system.monoid.cliques(), 0.0)
+        for c, _t in moves:
+            f[s][c] = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+    check_h_bits(system, f)
 
 
 # ------------------------------------------------------------ type invariants

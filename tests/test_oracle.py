@@ -2,7 +2,7 @@ import pytest
 from test_analysis import _count_calls
 
 from tracesys import graphs, spectral
-from tracesys.errors import CapExceeded
+from tracesys.errors import CapExceeded, TraceSysError
 from tracesys.graphs import build_adsc, build_dsc, count_paths_table
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import cross_check, enumerate_executions
@@ -44,6 +44,11 @@ def test_enumerate_cap():
     assert enumerate_executions(system, "s", 9, cap=9).count() == 1
 
 
+def test_enumerate_refuses_a_negative_length(e1):
+    with pytest.raises(TraceSysError, match="non-negative"):
+        enumerate_executions(e1, "s0", -1)
+
+
 def test_dedup_by_normal_form(e1):
     # words ad and da are one trace; the oracle counts it once
     exact = enumerate_executions(e1, "s0", 2)
@@ -61,7 +66,7 @@ def test_cross_check_canonical_matches_series(canonical_abc):
     assert rep.ok
     # growth coefficients are the series expansion of 1/(1 - 3z + z^2)
     table = count_paths_table(build_adsc(build_dsc(canonical_abc)), "*", 8)
-    counts = [table[n].get("*", 0) for n in range(9)]
+    counts = [table[n][0] for n in range(9)]
     series = [1]
     mu = (1, -3, 1)
     for n in range(1, 9):

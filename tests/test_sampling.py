@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from tracesys.errors import EmptySet
+from tracesys.errors import EmptySet, TraceSysError
 from tracesys.fixtures import ALL_SYSTEMS
 from tracesys.graphs import build_adsc, build_dsc, count_paths
 from tracesys.monoid import TraceMonoid
@@ -167,3 +167,14 @@ def test_first_clique_length_one_is_letter_uniform(e1, e1_measure):
     for c, freq in rep.frequencies.items():
         want = 1 / 3 if c.size == 1 and str(c) != "c" else 0.0
         assert abs(freq - want) < 0.05
+
+
+def test_empty_execution_has_no_first_clique(e1):
+    sampler = UniformExecutionSampler(e1, "s0", 0)
+    with pytest.raises(TraceSysError, match="no first clique"):
+        sampler.first_clique(sampler.sample(SplitMix64(1)))
+
+
+def test_first_clique_report_refuses_length_zero(e1, e1_measure):
+    with pytest.raises(TraceSysError, match="length must be positive"):
+        empirical_first_clique(e1, e1_measure, "s0", 0, 10, seed=1)

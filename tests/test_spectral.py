@@ -411,7 +411,7 @@ def test_growth_eval_e1_quarter(e1):
     # cross-check against the truncated counting series
     table = count_paths_table(build_adsc(build_dsc(e1)), "s0", 30)
     t = Fraction(1, 4)
-    series = sum(table[n].get("s0", 0) * t**n for n in range(31))
+    series = sum(table[n][e1.state_index("s0")] * t**n for n in range(31))
     assert abs(float(g[0][0]) - float(series)) < 1e-6
 
 
@@ -497,10 +497,7 @@ def _two_sided_inversion(system, tables):
         [[e[k] if k < len(e) else 0 for e in row] for row in pm.entries]
         for k in range(max_deg + 1)
     ]
-    g = [
-        [[tables[i][m].get(t, 0) for t in system.states] for i in range(n)]
-        for m in range(order + 1)
-    ]
+    g = [[tables[i][m] for i in range(n)] for m in range(order + 1)]
     failures = []
     for m in range(order + 1):
         want = [[int(i == j and m == 0) for j in range(n)] for i in range(n)]
@@ -542,8 +539,7 @@ def test_verify_inversion_fails_on_a_wrong_count(reference_systems, name, m, ori
     origin = origin or system.states[-1]
     target = target or system.states[0]
     tables = _count_tables(system, 6)
-    row = tables[system.state_index(origin)][m]
-    row[target] = row.get(target, 0) + 1
+    tables[system.state_index(origin)][m][system.state_index(target)] += 1
     rep = spectral.verify_inversion(Analysis.of(system).mobius, tables, 6)
     assert not rep.ok
     # mu_0 = I: the extra count shows first in row ``origin`` at length m
