@@ -143,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["mcsc", "uniform"], default="mcsc")
     p.add_argument("--start", help="start state (default: base state)")
     p.add_argument(
-        "--steps", type=_non_negative_int, default=20, help="mcsc: number of cliques"
+        "--steps", type=_non_negative_int, help="mcsc only: number of cliques (default 20)"
     )
     p.add_argument(
-        "--length", type=_non_negative_int, default=10, help="uniform: execution length"
+        "--length", type=_non_negative_int, help="uniform only: execution length (default 10)"
     )
     p.add_argument("--count", type=_non_negative_int, default=1, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
@@ -243,14 +243,20 @@ def _print_summary(doc: dict) -> None:
 
 def _cmd_sample(system: ConcurrentSystem, args) -> int:
     start = args.start or system.base_state
+    stray = "--length" if args.mode == "mcsc" else "--steps"
+    if getattr(args, stray[2:]) is not None:
+        print(f"error: {stray} does not apply to --mode {args.mode}", file=sys.stderr)
+        return EXIT_INPUT
     out = []
     if args.mode == "mcsc":
         m = uniform_measure(system)
+        steps = 20 if args.steps is None else args.steps
         for k in range(args.count):
-            s = sampling.sample_mcsc(m, start, args.steps, seed=args.seed + k)
+            s = sampling.sample_mcsc(m, start, steps, seed=args.seed + k)
             out.append(s.trace)
     else:
-        sampler = sampling.UniformExecutionSampler(system, start, args.length)
+        length = 10 if args.length is None else args.length
+        sampler = sampling.UniformExecutionSampler(system, start, length)
         for k in range(args.count):
             rng = sampling.SplitMix64(args.seed, stream=k)
             out.append(sampler.sample(rng))

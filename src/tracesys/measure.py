@@ -4,7 +4,10 @@ The measure on infinite executions is represented by the pair
 (root, cocycle) and the derived tables: f (cylinder values on cliques),
 h (law of the first clique, an alternating superset sum of f), g (successor
 mass), and the transition matrix of the Markov chain of states-and-cliques.
-All numerics are double precision on top of the exactly isolated root.
+f and h hold one row per state, aligned with ``system.moves``; g and the
+chain hold one entry per dsc node.  Only the report pads f and h with 0.0
+at the cliques that are not enabled.  All numerics are double precision on
+top of the exactly isolated root.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .system import ConcurrentSystem
 ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
 KERNEL_RTOL = 1e-9  # pivots below this, relative to the largest entry, count as zero
 EIGEN_RESIDUAL_TOL = 1e-6  # largest eigenvector residual uniqueness accepts
+
+Rows = tuple[tuple[float, ...], ...]  # one row per state, aligned with ``system.moves``
 
 
 # ---------------------------------------------------------------- kernel
@@ -102,89 +107,86 @@ def kernel_cocycle(
 
 def fibred_valuation(
     system: ConcurrentSystem, root: CharacteristicRoot, u: np.ndarray
-) -> dict[str, dict[Clique, float]]:
-    """f_a(c) = r^{|c|} Gamma(a, a.c) on the pairs of ``system.moves``, 0 elsewhere."""
+) -> Rows:
+    """f_a(c) = r^{|c|} Gamma(a, a.c) on the pairs of ``system.moves``."""
     r = root.approx
-    f: dict[str, dict[Clique, float]] = {}
-    for i, (s, moves) in enumerate(zip(system.states, system.moves)):
-        row = dict.fromkeys(system.monoid.cliques(), 0.0)
-        for c, j in moves:
-            row[c] = r**c.size * (u[j] / u[i])
-        f[s] = row
-    return f
+    return tuple(
+        tuple(r**c.size * (u[j] / u[i]) for c, j in moves)
+        for i, moves in enumerate(system.moves)
+    )
 
 
-def mobius_transform(
-    system: ConcurrentSystem, f: dict[str, dict[Clique, float]]
-) -> dict[str, dict[Clique, float]]:
+def mobius_transform(system: ConcurrentSystem, f: Rows) -> Rows:
     """h_a(c): the alternating superset sum of f_a over the inclusion order.
 
-    f_a vanishes off the cliques enabled at a, so each enabled d, in the
-    canonical order of ``system.moves``, adds (-1)^(|d|-|c|)·f_a(d) to every
-    subset c of d: Σ 2^|d| terms per state, and each h_a(c) sums the terms
-    of its enabled supersets in canonical order.  A disabled d would add
-    ±0.0, and a sum that starts at +0.0 never becomes -0.0, so leaving those
-    terms out changes no bit.  Cliques in no enabled clique get 0.0.
+    f_a vanishes off the cliques enabled at a, which are closed under
+    subsets, so h has the rows of f.  Each enabled d, in the canonical order
+    of ``system.moves``, adds (-1)^(|d|-|c|)·f_a(d) to every subset c of d:
+    Σ 2^|d| terms per state, and each h_a(c) sums the terms of its enabled
+    supersets in canonical order.
     """
-    by_mask = {c.mask: c for c in system.monoid.cliques()}
-    h: dict[str, dict[Clique, float]] = {}
-    for s, moves in zip(system.states, system.moves):
-        fs = f[s]
-        row = dict.fromkeys(by_mask.values(), 0.0)
-        for d, _t in moves:
+    h = []
+    for moves, fs in zip(system.moves, f):
+        at = {d.mask: k for k, (d, _t) in enumerate(moves)}
+        row = [0.0] * len(moves)
+        for (d, _t), fd in zip(moves, fs):
             sub = d.mask
             while True:  # the submasks of d, d first
-                c = by_mask[sub]
-                row[c] += (-1) ** (d.size - c.size) * fs[d]
+                k = at[sub]
+                row[k] += (-1) ** (d.size - moves[k][0].size) * fd
                 if not sub:
                     break
                 sub = (sub - 1) & d.mask
-        h[s] = row
-    return h
+        h.append(tuple(row))
+    return tuple(h)
+
+
+def _at_nodes(rows: Rows) -> list[float]:
+    """A per-state table at the dsc nodes: the rows without their empty clique, end to end."""
+    return [x for row in rows for x in row[1:]]
 
 
 def mcsc_tables(
-    system: ConcurrentSystem,
-    h: dict[str, dict[Clique, float]],
+    h: Rows,
     dsc: StateCliqueGraph,
-) -> tuple[dict, dict, np.ndarray, tuple[bool, ...]]:
-    """Successor mass, initial laws and transition matrix of the chain.
+) -> tuple[tuple[float, ...], np.ndarray, tuple[bool, ...]]:
+    """Successor mass and transition matrix of the chain.
 
     One pass over the arcs of the plain graph: g_a(c) is the sum of h at
     the successors of (a, c), in ``succ`` order, and each row of the
     transition matrix is those h values divided by g.  Rows whose g is at
     most ZERO_THRESHOLD are flagged unreachable and keep the unnormalized
     successor weights, so node indexing stays aligned with the plain graph.
-    Returns (g, initial, transition, unreachable).
+    Returns (g, transition, unreachable), with one g per dsc node.
     """
-    hv = [h[s][c] for s, c in dsc.nodes]
+    hv = _at_nodes(h)
     m = np.zeros((len(hv), len(hv)))
-    g = {}
+    g = []
     unreachable = []
     for v, out in enumerate(dsc.succ):
         row = [hv[w] for w in out]
-        gv = g[dsc.nodes[v]] = sum(row)
+        g.append(gv := sum(row))
         dead = gv <= ZERO_THRESHOLD
         unreachable.append(dead)
         m[v, list(out)] = row if dead else [x / gv for x in row]
-    initial = {
-        s: {c: h[s][c] for c in system.enabled_cliques(s)} for s in system.states
-    }
-    return g, initial, m, tuple(unreachable)
+    return tuple(g), m, tuple(unreachable)
 
 
 # ---------------------------------------------------------------- measure object
 
 @dataclass
 class UniformMeasure:
+    """The measure and its tables, laid out like the graphs: ``f[i][k]`` and
+    ``h[i][k]`` belong to the k-th pair of ``system.moves[i]`` (k = 0 is the
+    empty clique), and ``g`` and the rows of ``transition`` to the dsc nodes."""
+
     system: ConcurrentSystem
     root: CharacteristicRoot
     dsc: StateCliqueGraph  # labels filled
     u: np.ndarray  # cocycle vector Gamma(base, .)
-    f: dict[str, dict[Clique, float]]
-    h: dict[str, dict[Clique, float]]
-    g: dict[tuple[str, Clique], float]
-    initial: dict[str, dict[Clique, float]]
+    f: Rows
+    h: Rows
+    g: tuple[float, ...]
     transition: np.ndarray
     unreachable: tuple[bool, ...]
     cocycle_crosscheck_error: float
@@ -208,25 +210,18 @@ class UniformMeasure:
 
     def identity_residuals(self) -> dict[str, float]:
         """Worst-case violations of the defining identities (for validation)."""
-        sys_, h, f, g = self.system, self.h, self.f, self.g
         res = {"cocycle": 0.0, "h_empty": 0.0, "h_nonneg": 0.0, "h_sum": 0.0,
                "h_eq_fg": 0.0, "row_sum": 0.0}
         # max |Gamma(i, k) - Gamma(i, j) Gamma(j, k)|, one n×n slab per i
         ratio = self.u[None, :] / self.u[:, None]  # ratio[i, j] = Gamma(i, j)
         for row in ratio:
             res["cocycle"] = max(res["cocycle"], np.abs(row[None, :] - row[:, None] * ratio).max())
-        empty = sys_.monoid.empty_clique()
-        for s in sys_.states:
-            res["h_empty"] = max(res["h_empty"], abs(h[s][empty]))
-            res["h_nonneg"] = max(
-                res["h_nonneg"], max((-h[s][c] for c in h[s]), default=0.0)
-            )
-            res["h_sum"] = max(
-                res["h_sum"],
-                abs(sum(h[s][c] for c in sys_.enabled_cliques(s)) - 1.0),
-            )
-        for (s, c) in self.g:
-            res["h_eq_fg"] = max(res["h_eq_fg"], abs(h[s][c] - f[s][c] * g[(s, c)]))
+        for row in self.h:
+            res["h_empty"] = max(res["h_empty"], abs(row[0]))
+            res["h_nonneg"] = max(res["h_nonneg"], max(-x for x in row))
+            res["h_sum"] = max(res["h_sum"], abs(sum(row[1:]) - 1.0))
+        for h, f, g in zip(_at_nodes(self.h), _at_nodes(self.f), self.g):
+            res["h_eq_fg"] = max(res["h_eq_fg"], abs(h - f * g))
         for v in range(len(self.dsc.nodes)):
             if not self.unreachable[v]:
                 res["row_sum"] = max(
@@ -242,7 +237,7 @@ def uniform_measure(
     u, err = kernel_cocycle(system, pm, root)
     f = fibred_valuation(system, root, u)
     h = mobius_transform(system, f)
-    g, initial, transition, unreachable = mcsc_tables(system, h, dsc)
+    g, transition, unreachable = mcsc_tables(h, dsc)
     return UniformMeasure(
         system=system,
         root=root,
@@ -251,7 +246,6 @@ def uniform_measure(
         f=f,
         h=h,
         g=g,
-        initial=initial,
         transition=transition,
         unreachable=unreachable,
         cocycle_crosscheck_error=err,
@@ -274,9 +268,7 @@ def numeric_null_check(measure: UniformMeasure) -> NullCheckReport:
     null_nodes = []
     max_null = 0.0
     min_pos = float("inf")
-    for v, (s, c) in enumerate(dsc.nodes):
-        val = measure.h[s][c]
-        positive = dsc.labels[v]
+    for (s, c), val, positive in zip(dsc.nodes, _at_nodes(measure.h), dsc.labels):
         if positive:
             min_pos = min(min_pos, val)
             if not val > ZERO_THRESHOLD:
@@ -318,14 +310,16 @@ def uniqueness_diagnostics(
     (iii) basic components of that graph are exactly its terminal ones.
     ``adsc_radii`` are the radii of the SCCs of ``adsc``, in condensation order.
     """
-    system = measure.system
+    system, u, r = measure.system, measure.u, measure.r
     labels = adsc.labels
-
-    r = measure.r
+    base = u[system.state_index(system.base_state)]
+    # the adsc unfolds the dsc nodes, which follow ``system.moves``
     vec = np.array(
         [
-            measure.gamma(system.base_state, s) * measure.h[s][c] / r ** (i - 1)
-            for (s, c, i) in adsc.nodes
+            float(u[k] / base) * x / r ** (i - 1)
+            for k, (moves, row) in enumerate(zip(system.moves, measure.h))
+            for (c, _t), x in zip(moves[1:], row[1:])
+            for i in range(1, c.size + 1)
         ]
     )
     positive = [v for v, pos in enumerate(labels) if pos]

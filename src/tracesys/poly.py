@@ -30,19 +30,8 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return normalize(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
 def neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -205,26 +194,3 @@ def count_roots(chain: list[Poly], a, b) -> int:
     """
     return sign_variations(chain, a) - sign_variations(chain, b)
 
-
-def to_string(p: Poly, var: str = "z") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i, c in enumerate(p):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-            continue
-        mono = var if i == 1 else f"{var}^{i}"
-        if c == 1:
-            term = mono
-        elif c == -1:
-            term = f"-{mono}"
-        else:
-            term = f"{c}{mono}"
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out

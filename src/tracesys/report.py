@@ -34,10 +34,13 @@ def _clique_key(c: Clique) -> str:
     return "".join(c.letters)
 
 
-def _table_json(table: dict[str, dict[Clique, float]]) -> dict:
+def _table_json(system: ConcurrentSystem, rows) -> dict:
+    """Rows aligned with ``system.moves`` (f, h) as the report lists them:
+    every clique of the monoid by name, 0.0 at those not enabled."""
+    zeros = dict.fromkeys(map(_clique_key, system.monoid.cliques()), 0.0)
     return {
-        s: {_clique_key(c): float(v) for c, v in row.items()}
-        for s, row in table.items()
+        s: {**zeros, **{_clique_key(c): float(v) for (c, _t), v in zip(moves, row)}}
+        for s, moves, row in zip(system.states, system.moves, rows)
     }
 
 
@@ -134,19 +137,21 @@ def analyze_report(
         m = analysis.measure(precision)
         null_check = measure_mod.numeric_null_check(m)
         uniq = analysis_mod.uniqueness_diagnostics(m)
+        nodes = [f"({s},{_clique_key(c)})" for s, c in m.dsc.nodes]
         doc["uniform_measure"] = {
             "gamma": {
                 "base": system.base_state,
                 "vector": {s: float(m.u[i]) for i, s in enumerate(system.states)},
             },
-            "f": _table_json(m.f),
-            "h": _table_json(m.h),
-            "g": {
-                f"({s},{_clique_key(c)})": float(v) for (s, c), v in m.g.items()
-            },
+            "f": _table_json(system, m.f),
+            "h": _table_json(system, m.h),
+            "g": {v: float(x) for v, x in zip(nodes, m.g)},
             "mcsc": {
-                "nodes": [f"({s},{_clique_key(c)})" for s, c in m.dsc.nodes],
-                "initial": _table_json(m.initial),
+                "nodes": nodes,
+                "initial": {  # h without the empty clique
+                    s: {_clique_key(c): float(v) for (c, _t), v in zip(moves[1:], row[1:])}
+                    for s, moves, row in zip(system.states, system.moves, m.h)
+                },
                 "matrix": m.transition.tolist(),
                 "unreachable": [bool(b) for b in m.unreachable],
             },

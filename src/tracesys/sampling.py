@@ -81,18 +81,16 @@ def sample_mcsc(
     if steps < 0:
         raise TraceSysError("steps must be non-negative")
     system = measure.system
-    system.state_index(start)
+    i = system.state_index(start)
     dsc = measure.dsc
     rng = SplitMix64(seed)
 
-    start_nodes = [i for i, (s, _c) in enumerate(dsc.nodes) if s == start]
-    weights = np.array([measure.h[s][c] for i in start_nodes
-                        for (s, c) in [dsc.nodes[i]]])
+    first = sum(len(m) - 1 for m in system.moves[:i])  # the dsc nodes before start's
     cum_rows = np.cumsum(measure.transition, axis=1)
 
     nodes: list[int] = []
     if steps > 0:
-        v = start_nodes[_draw(np.cumsum(weights), rng.random())]
+        v = first + _draw(np.cumsum(measure.h[i][1:]), rng.random())
         nodes.append(v)
         for _ in range(steps - 1):
             v = _draw(cum_rows[v], rng.random())
@@ -231,7 +229,7 @@ def empirical_first_clique(
         counts[c] = counts.get(c, 0) + 1
 
     enabled = system.enabled_cliques(start)
-    expected = {c: measure.h[start][c] for c in enabled}
+    expected = dict(zip(enabled, measure.h[system.state_index(start)][1:]))
     freqs = {c: counts.get(c, 0) / samples for c in enabled}
     tv = 0.5 * sum(abs(freqs[c] - expected[c]) for c in enabled)
     z = {}

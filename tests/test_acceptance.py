@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_measure import by_name
 
 from tracesys import poly
 from tracesys.analysis import (
@@ -59,8 +60,8 @@ def test_criterion_03_e1_cocycle(e1_measure):
 
 
 def test_criterion_04_e1_h_table(e1_measure):
-    h0 = {str(c): v for c, v in e1_measure.h["s0"].items()}
-    h1 = {str(c): v for c, v in e1_measure.h["s1"].items()}
+    h0 = by_name(e1_measure, "s0")
+    h1 = by_name(e1_measure, "s1")
     for key, want in [("a", 0.25), ("b", 0.25), ("ad", 0.25), ("bd", 0.25)]:
         assert abs(h0[key] - want) <= 1e-9
     assert abs(h0["d"]) <= 1e-9
@@ -125,7 +126,7 @@ def test_criterion_08_aztec(aztec, aztec_measure):
     assert len(cond.components) == 3 and sum(cond.terminal) == 1
 
     r = aztec_measure.r
-    h1 = {str(c): v for c, v in aztec_measure.h["1"].items()}
+    h1 = by_name(aztec_measure, "1")
     assert abs(h1["a"]) <= 1e-9
     assert abs(h1["b"] - (1 - r * r)) <= 1e-9
     assert abs(h1["ab"] - r * r) <= 1e-9

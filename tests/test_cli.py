@@ -247,6 +247,24 @@ def test_sample_unknown_start_is_input_error(e1_file, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mode, option", [("uniform", "--steps"), ("mcsc", "--length")])
+def test_sample_refuses_the_other_modes_size(e1_file, mode, option, capsys):
+    for value in ("0", "3", "500"):
+        assert main(["sample", e1_file, "--mode", mode, option, value, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {option} does not apply to --mode {mode}\n"
+        assert captured.out == ""
+
+
+def test_sample_sizes_default_to_20_steps_and_length_10(e1_file, capsys):
+    for mode, option, default in [("mcsc", "--steps", "20"), ("uniform", "--length", "10")]:
+        assert main(["sample", e1_file, "--mode", mode, "--seed", "3", "--count", "4"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["sample", e1_file, "--mode", mode, option, default,
+                     "--seed", "3", "--count", "4"]) == 0
+        assert capsys.readouterr().out == implicit
+
+
 def test_sample_zero_count_is_empty(e1_file, capsys):
     assert main(["sample", e1_file, "--count", "0", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["samples"] == []

@@ -25,6 +25,7 @@ from tracesys.measure import (
 )
 from tracesys.monoid import TraceMonoid
 from tracesys.petri import parse_petri, petri_to_system
+from tracesys.report import analyze_report
 from tracesys.sampling import SplitMix64
 from tracesys.spectral import CharacteristicRoot, basic_flags, mobius_matrix
 from tracesys.system import ConcurrentSystem
@@ -32,8 +33,20 @@ from tracesys.system import ConcurrentSystem
 TOL = 1e-9
 
 
-def by_name(measure, state):
-    return {str(c): v for c, v in measure.h[state].items()}
+def padded(system, rows):
+    """Rows aligned with ``system.moves`` as one dict per state over every
+    clique of the monoid, 0.0 at those not enabled: the report's layout."""
+    out = {}
+    for s, moves, row in zip(system.states, system.moves, rows):
+        at = {c: v for (c, _t), v in zip(moves, row)}
+        out[s] = {c: at.get(c, 0.0) for c in system.monoid.cliques()}
+    return out
+
+
+def by_name(measure, state, table="h"):
+    """One state's row of h (or f), by clique name, padded."""
+    rows = padded(measure.system, getattr(measure, table))
+    return {str(c): v for c, v in rows[state].items()}
 
 
 # ------------------------------------------------------------ cocycle
@@ -77,12 +90,12 @@ def test_measure_requires_irreducible():
 # ------------------------------------------------------------ tables
 
 def test_f_table_e1(e1_measure):
-    f0 = {str(c): v for c, v in e1_measure.f["s0"].items()}
+    f0 = by_name(e1_measure, "s0", "f")
     assert f0 == pytest.approx(
         {"ε": 1.0, "a": 0.5, "b": 0.5, "c": 0.0, "d": 0.5, "ad": 0.25, "bd": 0.25},
         abs=TOL,
     )
-    f1 = {str(c): v for c, v in e1_measure.f["s1"].items()}
+    f1 = by_name(e1_measure, "s1", "f")
     assert f1 == pytest.approx(
         {"ε": 1.0, "a": 0.0, "b": 0.0, "c": 0.5, "d": 0.5, "ad": 0.0, "bd": 0.0},
         abs=TOL,
@@ -113,7 +126,7 @@ def test_h_table_aztec(aztec_measure):
 def test_g_table_e1(e1_measure):
     sys_ = e1_measure.system
     cliques = {str(c): c for c in sys_.monoid.cliques()}
-    g = {(s, str(c)): v for (s, c), v in e1_measure.g.items()}
+    g = {(s, str(c)): v for (s, c), v in zip(e1_measure.dsc.nodes, e1_measure.g)}
     assert abs(g[("s0", "a")] - 0.5) <= TOL
     assert abs(g[("s0", "d")]) <= TOL  # only successor is itself, h = 0
     assert abs(g[("s0", "ad")] - 1.0) <= TOL
@@ -140,7 +153,9 @@ def test_mcsc_matrix_e1(e1_measure):
 
 def test_mcsc_initial_law_aztec(aztec_measure):
     r = aztec_measure.r
-    initial = {str(c): v for c, v in aztec_measure.initial["1"].items()}
+    system = aztec_measure.system
+    i = system.state_index("1")
+    initial = {str(c): v for (c, _t), v in zip(system.moves[i][1:], aztec_measure.h[i][1:])}
     assert initial == pytest.approx(
         {"a": 0.0, "b": 1 - r * r, "ab": r * r}, abs=TOL
     )
@@ -185,12 +200,15 @@ def _reference_tables(system, f, dsc):
 def test_tables_bit_equal_to_reference(reference_systems):
     for name, system in reference_systems.items():
         measure = Analysis.of(system).measure()
-        h, g, m, unreachable = _reference_tables(system, measure.f, measure.dsc)
+        h, g, m, unreachable = _reference_tables(system, padded(system, measure.f), measure.dsc)
+        got_h = padded(system, measure.h)
         # float.hex sees the sign of zero and refuses an int where a float belongs
         assert [
-            (s, c, float.hex(v)) for s in measure.h for c, v in measure.h[s].items()
+            (s, c, float.hex(v)) for s in got_h for c, v in got_h[s].items()
         ] == [(s, c, float.hex(v)) for s in h for c, v in h[s].items()], name
-        assert [(k, type(v), float(v).hex()) for k, v in measure.g.items()] == [
+        assert [
+            (k, type(v), float(v).hex()) for k, v in zip(measure.dsc.nodes, measure.g)
+        ] == [
             (k, type(v), float(v).hex()) for k, v in g.items()
         ], name
         assert list(map(float.hex, measure.transition.ravel().tolist())) == list(
@@ -216,7 +234,8 @@ def _h_by_superset_scan(system, f):
 
 
 def check_h_bits(system, f):
-    got, want = mobius_transform(system, f), _h_by_superset_scan(system, f)
+    got = padded(system, mobius_transform(system, f))
+    want = _h_by_superset_scan(system, padded(system, f))
     assert [(s, c, float.hex(v)) for s in got for c, v in got[s].items()] == [
         (s, c, float.hex(v)) for s in want for c, v in want[s].items()
     ]
@@ -234,12 +253,99 @@ def test_h_by_subsets_on_random_cycle_nets(text, seed):
     # terms would show in the last bits
     system = petri_to_system(parse_petri(text))
     rng = random.Random(seed)
-    f = {}
-    for s, moves in zip(system.states, system.moves):
-        f[s] = dict.fromkeys(system.monoid.cliques(), 0.0)
-        for c, _t in moves:
-            f[s][c] = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+    f = tuple(
+        tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _m in moves)
+        for moves in system.moves
+    )
     check_h_bits(system, f)
+
+
+def _v1_fibred_valuation(system, root, u):
+    """f as dicts keyed by state and clique, zero-padded over the monoid's cliques."""
+    r = root.approx
+    f = {}
+    for i, (s, moves) in enumerate(zip(system.states, system.moves)):
+        row = dict.fromkeys(system.monoid.cliques(), 0.0)
+        for c, j in moves:
+            row[c] = r**c.size * (u[j] / u[i])
+        f[s] = row
+    return f
+
+
+def _v1_mobius_transform(system, f):
+    """h as dicts like f: each enabled d adds to its subsets, in moves order."""
+    by_mask = {c.mask: c for c in system.monoid.cliques()}
+    h = {}
+    for s, moves in zip(system.states, system.moves):
+        fs = f[s]
+        row = dict.fromkeys(by_mask.values(), 0.0)
+        for d, _t in moves:
+            sub = d.mask
+            while True:  # the submasks of d, d first
+                c = by_mask[sub]
+                row[c] += (-1) ** (d.size - c.size) * fs[d]
+                if not sub:
+                    break
+                sub = (sub - 1) & d.mask
+        h[s] = row
+    return h
+
+
+def _v1_mcsc_tables(system, h, dsc):
+    """g keyed by (state, clique), the initial laws, the chain and its flags."""
+    hv = [h[s][c] for s, c in dsc.nodes]
+    m = np.zeros((len(hv), len(hv)))
+    g = {}
+    unreachable = []
+    for v, out in enumerate(dsc.succ):
+        row = [hv[w] for w in out]
+        gv = g[dsc.nodes[v]] = sum(row)
+        dead = gv <= ZERO_THRESHOLD
+        unreachable.append(dead)
+        m[v, list(out)] = row if dead else [x / gv for x in row]
+    initial = {
+        s: {c: h[s][c] for c in system.enabled_cliques(s)} for s in system.states
+    }
+    return g, initial, m, tuple(unreachable)
+
+
+def _hex(table):
+    """A report table, or a dict-based one, as ordered (key, float.hex) lists."""
+    if isinstance(table, dict):
+        return [(str(k), _hex(v)) for k, v in table.items()]
+    return [_hex(v) for v in table] if isinstance(table, list) else float.hex(float(table))
+
+
+def check_report_tables_equal_v1(system):
+    doc = analyze_report(system)["uniform_measure"]
+    if not system.classify().irreducible:
+        assert doc is None
+        return
+    m = Analysis.of(system).measure()
+    f = _v1_fibred_valuation(system, m.root, m.u)
+    h = _v1_mobius_transform(system, f)
+    g, initial, chain, unreachable = _v1_mcsc_tables(system, h, m.dsc)
+
+    def named(table):  # keys as the report writes them
+        return {s: {"".join(c.letters): v for c, v in row.items()} for s, row in table.items()}
+
+    assert _hex(doc["f"]) == _hex(named(f))
+    assert _hex(doc["h"]) == _hex(named(h))
+    assert _hex(doc["g"]) == _hex({f"({s},{''.join(c.letters)})": v for (s, c), v in g.items()})
+    assert _hex(doc["mcsc"]["initial"]) == _hex(named(initial))
+    assert _hex(doc["mcsc"]["matrix"]) == _hex(chain.tolist())
+    assert doc["mcsc"]["unreachable"] == list(unreachable)
+
+
+def test_report_tables_equal_the_dict_tables(reference_systems):
+    for system in reference_systems.values():
+        check_report_tables_equal_v1(system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=cycle_nets())
+def test_report_tables_equal_the_dict_tables_on_random_cycle_nets(text):
+    check_report_tables_equal_v1(petri_to_system(parse_petri(text)))
 
 
 # ------------------------------------------------------------ type invariants
@@ -328,9 +434,12 @@ def test_null_check_mismatch_raises(e1_measure):
     import copy
 
     tampered = copy.copy(e1_measure)
-    tampered.h = {s: dict(row) for s, row in e1_measure.h.items()}
-    d = next(c for c in e1_measure.system.monoid.cliques() if str(c) == "d")
-    tampered.h["s0"][d] = 0.2  # graph-null node with fake mass
+    system = e1_measure.system
+    i = system.state_index("s0")
+    d = next(k for k, (c, _t) in enumerate(system.moves[i]) if str(c) == "d")
+    rows = [list(row) for row in e1_measure.h]
+    rows[i][d] = 0.2  # graph-null node with fake mass
+    tampered.h = tuple(map(tuple, rows))
     with pytest.raises(ClassificationMismatch):
         numeric_null_check(tampered)
 

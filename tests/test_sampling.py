@@ -1,7 +1,10 @@
+import hashlib
 from collections import Counter
 
 import pytest
+from bench_modules import inputs, load_system
 
+from tracesys.cli import main
 from tracesys.errors import EmptySet, TraceSysError
 from tracesys.fixtures import ALL_SYSTEMS
 from tracesys.graphs import build_adsc, build_dsc, count_paths
@@ -80,6 +83,67 @@ def test_mcsc_replays_and_matches_normal_form(e1_measure):
 def test_mcsc_avoids_null_nodes(e1_measure):
     s = sample_mcsc(e1_measure, "s0", 5000, seed=1)
     assert ("s0", "d") not in {(st, str(c)) for st, c in s.nodes}
+
+
+# sha256 of the stdout of ``sample --mode mcsc --json``: (system, start,
+# steps, count, seed), where start None is the base state and "last" the
+# last state of the system
+MCSC_DIGESTS = {
+    ("two_state", None, 1, 5, 0): "ffed725dbfb6311a68873b51a281defca567ae3ad5e258f38d55f28a9ed55c84",
+    ("two_state", None, 20, 3, 1): "e4ab3ef3181f8977cfc1f1d3afb100b02adf41839868ea480d38f95bc964a998",
+    ("two_state", None, 60, 2, 7): "36060a2f1e1d961cbeb23121b1040df9c3951e31545466954105f8c27471af80",
+    ("two_state", "last", 30, 2, 3): "b8a708042951cdae09a33882deff6be25816b2d015cfafd2df07a6dd69be297c",
+    ("canonical_abc", None, 1, 5, 0): "4b90059f111bc054f829e99f55abb0b54f4675bdff9f88d34085cdf6bbd05243",
+    ("canonical_abc", None, 20, 3, 1): "cd99b7ba85a548ca729b1fe507c4e42df99f551efc5f88ae2540bba576708fbe",
+    ("canonical_abc", None, 60, 2, 7): "3766c759be4f10088646767af276e56c0752fa2710050a76ac999ad72aa26f74",
+    ("canonical_abc", "last", 30, 2, 3): "ef2927e2a2acf85b538a040d214e0d3c021e4f02f8e559ec3086f1fcaf3a817c",
+    ("aztec", None, 1, 5, 0): "e42f7657bb4c1b28a4ea21c8ebb5a66900cd9127c96f5098e8892a3900e3d87b",
+    ("aztec", None, 20, 3, 1): "f65ef1c69afad1bbf590ddfcaa288767a946e39597d2ed2e89b7aa3ac8854c5a",
+    ("aztec", None, 60, 2, 7): "62311e23129adb6bca311b4be9c82076e9ec483832825d7309f641f601b45651",
+    ("aztec", "last", 30, 2, 3): "e6c9ffd5dbfdeffd9314fbabc4d1569084aa039d942bbd0a12034b1276092021",
+    ("two_terminal", None, 1, 5, 0): "e42f7657bb4c1b28a4ea21c8ebb5a66900cd9127c96f5098e8892a3900e3d87b",
+    ("two_terminal", None, 20, 3, 1): "3511802211e011458be044a438fa39b86cacf093ddc8c913d778365bfbc48e2b",
+    ("two_terminal", None, 60, 2, 7): "b7903f455e92bdd0b3e87625170f27b9330f1bc530a483da286b821d5542e6a2",
+    ("two_terminal", "last", 30, 2, 3): "dcb00bf49c83d1c9f00bc0d6f900f6503b38d0f08984ca3aca9ff9fb4a94b3b4",
+    ("phil4", None, 1, 5, 0): "45ffff75ea4a1cea6143bc3cd34be4de273050780fca2f56764ff15d32ba503b",
+    ("phil4", None, 20, 3, 1): "d7feee76c047f3ecc7a316a7616c31536f0d31734fdf94ec2e0f5c3d532bfd82",
+    ("phil4", None, 60, 2, 7): "b36263d49cf726f06dae793f5e7d688ba1bfb9ad64d519f472e26d20bd052fa3",
+    ("phil4", "last", 30, 2, 3): "7564ca42dc4852e0ff55a413406e9bed26b2aefe970b9dc01bbfbe9c6515d8ba",
+    ("phil5", None, 1, 5, 0): "774109be1066dd91320c55ffd5c5e84997d0b360a6415d6b4610dc3c7727a46b",
+    ("phil5", None, 20, 3, 1): "f372af18eb42f73a3f136030561b382ddbd42c3ef4f439f3004faea584658bb7",
+    ("phil5", None, 60, 2, 7): "60b8219312cfca7e170adbfb0d1caad1bba2ed36d9b398ca9eecc061b1768845",
+    ("phil5", "last", 30, 2, 3): "5413e664ce4d3395c61929259b6e955bb674dfda61fa2d10afb4a55bba3244ee",
+    ("path8", None, 1, 5, 0): "0cf404512caf0303f18d92ee9a97b05d196a45a5939293b2659589aae261ff4e",
+    ("path8", None, 20, 3, 1): "6ac3427f5fea71002946e6bde4ef7c67267f531204a557bc8504c3841c7b0a49",
+    ("path8", None, 60, 2, 7): "0d2481e21dde18144478145845648de6c92c7d85b3b5c7144e1374d7b87a9109",
+    ("path8", "last", 30, 2, 3): "02e8d7bd7bfccae32a4f25eff1b7b9f191cd824ea0569e2d4b770d74fcd84847",
+}
+MCSC_FILES = {
+    f.name: f
+    for f in [
+        *(inputs.fixture_file(name) for name in inputs.FIXTURE_NAMES),
+        inputs.phil_file(4),
+        inputs.phil_file(5),
+        inputs.path_file(8),
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(MCSC_DIGESTS, key=str), ids=lambda cell: "-".join(map(str, cell))
+)
+def test_mcsc_samples_equal_recorded_digests(cell, tmp_path, capsys):
+    name, start, steps, count, seed = cell
+    f = MCSC_FILES[name]
+    path = tmp_path / f.filename
+    path.write_text(f.text, encoding="utf-8")
+    argv = ["sample", *f.argv(str(path)), "--mode", "mcsc", "--steps", str(steps),
+            "--count", str(count), "--seed", str(seed), "--json"]
+    if start == "last":
+        argv += ["--start", load_system(f).states[-1]]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == MCSC_DIGESTS[cell]
 
 
 # ------------------------------------------------------------ uniform finite sampling
