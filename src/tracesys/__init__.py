@@ -45,7 +45,6 @@ from .sampling import (
     UniformExecutionSampler,
     empirical_first_clique,
     sample_mcsc,
-    sample_uniform_finite,
 )
 from .spectral import (
     CharacteristicRoot,
@@ -98,7 +97,6 @@ __all__ = [
     "petri_to_system",
     "render_system",
     "sample_mcsc",
-    "sample_uniform_finite",
     "spectral_property_report",
     "spectral_radius",
     "uniform_measure",

@@ -3,11 +3,11 @@
 The measure on infinite executions is represented by the pair
 (root, cocycle) and the derived tables: f (cylinder values on cliques),
 h (law of the first clique, an alternating superset sum of f), g (successor
-mass), and the transition matrix of the Markov chain of states-and-cliques.
-f and h hold one row per state, aligned with ``system.moves``; g and the
-chain hold one entry per dsc node.  Only the report pads f and h with 0.0
-at the cliques that are not enabled.  All numerics are double precision on
-top of the exactly isolated root.
+mass), and the transition rows of the Markov chain of states-and-cliques.
+f and h hold one row per state, aligned with ``system.moves``; g one value
+per dsc node, and the chain one row per dsc node, aligned with ``dsc.succ``.
+Only the report pads f and h with 0.0 and spreads the chain into a dense
+matrix.  All numerics are double precision on top of the exactly isolated root.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
 KERNEL_RTOL = 1e-9  # pivots below this, relative to the largest entry, count as zero
 EIGEN_RESIDUAL_TOL = 1e-6  # largest eigenvector residual uniqueness accepts
 
-Rows = tuple[tuple[float, ...], ...]  # one row per state, aligned with ``system.moves``
+Rows = tuple[tuple[float, ...], ...]  # per state along ``system.moves``, or per node along ``succ``
 
 
 # ---------------------------------------------------------------- kernel
@@ -149,27 +149,25 @@ def _at_nodes(rows: Rows) -> list[float]:
 def mcsc_tables(
     h: Rows,
     dsc: StateCliqueGraph,
-) -> tuple[tuple[float, ...], np.ndarray, tuple[bool, ...]]:
-    """Successor mass and transition matrix of the chain.
+) -> tuple[tuple[float, ...], Rows, tuple[bool, ...]]:
+    """Successor mass and transition rows of the chain.
 
     One pass over the arcs of the plain graph: g_a(c) is the sum of h at
-    the successors of (a, c), in ``succ`` order, and each row of the
-    transition matrix is those h values divided by g.  Rows whose g is at
-    most ZERO_THRESHOLD are flagged unreachable and keep the unnormalized
-    successor weights, so node indexing stays aligned with the plain graph.
-    Returns (g, transition, unreachable), with one g per dsc node.
+    the successors of (a, c), in ``succ`` order, and the transition row of
+    (a, c) is those h values divided by g, aligned with ``dsc.succ``.  Rows
+    whose g is at most ZERO_THRESHOLD are flagged unreachable and keep the
+    unnormalized successor weights.  Returns (g, transition, unreachable),
+    each with one entry per dsc node.
     """
     hv = _at_nodes(h)
-    m = np.zeros((len(hv), len(hv)))
-    g = []
-    unreachable = []
-    for v, out in enumerate(dsc.succ):
-        row = [hv[w] for w in out]
-        g.append(gv := sum(row))
-        dead = gv <= ZERO_THRESHOLD
-        unreachable.append(dead)
-        m[v, list(out)] = row if dead else [x / gv for x in row]
-    return tuple(g), m, tuple(unreachable)
+    rows = [tuple(hv[w] for w in out) for out in dsc.succ]
+    g = tuple(map(sum, rows))
+    unreachable = tuple(gv <= ZERO_THRESHOLD for gv in g)
+    transition = tuple(
+        row if dead else tuple(x / gv for x in row)
+        for row, gv, dead in zip(rows, g, unreachable)
+    )
+    return g, transition, unreachable
 
 
 # ---------------------------------------------------------------- measure object
@@ -178,7 +176,8 @@ def mcsc_tables(
 class UniformMeasure:
     """The measure and its tables, laid out like the graphs: ``f[i][k]`` and
     ``h[i][k]`` belong to the k-th pair of ``system.moves[i]`` (k = 0 is the
-    empty clique), and ``g`` and the rows of ``transition`` to the dsc nodes."""
+    empty clique), ``g[v]`` to dsc node v, and ``transition[v][k]`` to the
+    arc from v to ``dsc.succ[v][k]``."""
 
     system: ConcurrentSystem
     root: CharacteristicRoot
@@ -187,7 +186,7 @@ class UniformMeasure:
     f: Rows
     h: Rows
     g: tuple[float, ...]
-    transition: np.ndarray
+    transition: Rows
     unreachable: tuple[bool, ...]
     cocycle_crosscheck_error: float
 
@@ -211,7 +210,7 @@ class UniformMeasure:
     def identity_residuals(self) -> dict[str, float]:
         """Worst-case violations of the defining identities (for validation)."""
         res = {"cocycle": 0.0, "h_empty": 0.0, "h_nonneg": 0.0, "h_sum": 0.0,
-               "h_eq_fg": 0.0, "row_sum": 0.0}
+               "h_eq_fg": 0.0}
         # max |Gamma(i, k) - Gamma(i, j) Gamma(j, k)|, one n×n slab per i
         ratio = self.u[None, :] / self.u[:, None]  # ratio[i, j] = Gamma(i, j)
         for row in ratio:
@@ -222,11 +221,6 @@ class UniformMeasure:
             res["h_sum"] = max(res["h_sum"], abs(sum(row[1:]) - 1.0))
         for h, f, g in zip(_at_nodes(self.h), _at_nodes(self.f), self.g):
             res["h_eq_fg"] = max(res["h_eq_fg"], abs(h - f * g))
-        for v in range(len(self.dsc.nodes)):
-            if not self.unreachable[v]:
-                res["row_sum"] = max(
-                    res["row_sum"], abs(self.transition[v].sum() - 1.0)
-                )
         return res
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import analysis as analysis_mod
 from . import measure as measure_mod
 from . import oracle as oracle_mod
@@ -138,6 +140,11 @@ def analyze_report(
         null_check = measure_mod.numeric_null_check(m)
         uniq = analysis_mod.uniqueness_diagnostics(m)
         nodes = [f"({s},{_clique_key(c)})" for s, c in m.dsc.nodes]
+        chain = np.zeros((len(nodes), len(nodes)))  # the v1 layout: 0.0 off the arcs
+        for v, (out, row) in enumerate(zip(m.dsc.succ, m.transition)):
+            chain[v, list(out)] = row
+        # numpy's sum of each whole dense row, as v1 reports it
+        row_sum = max([0.0] + [abs(r.sum() - 1.0) for r, x in zip(chain, m.unreachable) if not x])
         doc["uniform_measure"] = {
             "gamma": {
                 "base": system.base_state,
@@ -152,12 +159,13 @@ def analyze_report(
                     s: {_clique_key(c): float(v) for (c, _t), v in zip(moves[1:], row[1:])}
                     for s, moves, row in zip(system.states, system.moves, m.h)
                 },
-                "matrix": m.transition.tolist(),
+                "matrix": chain.tolist(),
                 "unreachable": [bool(b) for b in m.unreachable],
             },
             "cocycle_crosscheck_error": m.cocycle_crosscheck_error,
             "identity_residuals": {
-                k: float(v) for k, v in m.identity_residuals().items()
+                **{k: float(v) for k, v in m.identity_residuals().items()},
+                "row_sum": float(row_sum),
             },
         }
         doc["diagnostics"] = {

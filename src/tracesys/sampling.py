@@ -8,9 +8,9 @@ probability is ever represented in floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .analysis import Analysis
 from .errors import EmptySet, TraceSysError
@@ -75,8 +75,9 @@ def sample_mcsc(
 ) -> SampledExecution:
     """Prefix of an infinite execution: ``steps`` cliques of its normal form.
 
-    The first node follows the initial law at ``start``; the rest follow
-    the transition matrix.  Inverse-CDF over the canonical node order.
+    The first node follows the initial law at ``start``; each next node is
+    drawn from the transition row of the current node v and is
+    ``dsc.succ[v][k]`` for the drawn index k.  Inverse CDF over each row.
     """
     if steps < 0:
         raise TraceSysError("steps must be non-negative")
@@ -86,24 +87,26 @@ def sample_mcsc(
     rng = SplitMix64(seed)
 
     first = sum(len(m) - 1 for m in system.moves[:i])  # the dsc nodes before start's
-    cum_rows = np.cumsum(measure.transition, axis=1)
 
     nodes: list[int] = []
     if steps > 0:
-        v = first + _draw(np.cumsum(measure.h[i][1:]), rng.random())
+        v = first + _draw(measure.h[i][1:], rng.random())
         nodes.append(v)
         for _ in range(steps - 1):
-            v = _draw(cum_rows[v], rng.random())
+            v = dsc.succ[v][_draw(measure.transition[v], rng.random())]
             nodes.append(v)
     chosen = tuple(dsc.nodes[v] for v in nodes)
     trace = tuple(a for _s, c in chosen for a in c.letters)
     return SampledExecution(start=start, nodes=chosen, trace=trace, seed=seed)
 
 
-def _draw(cumulative: np.ndarray, u: float) -> int:
-    i = int(np.searchsorted(cumulative, u, side="right"))
-    if i >= len(cumulative):
-        i = int(np.flatnonzero(np.diff(np.concatenate(([0.0], cumulative))))[-1])
+def _draw(weights, u: float) -> int:
+    """The first index whose running sum of ``weights`` exceeds u.  If the
+    whole sum rounds to at most u, the last index that adds to it."""
+    cumulative = list(accumulate(weights))
+    i = bisect_right(cumulative, u)
+    if i == len(cumulative):
+        i = max(k for k, (a, b) in enumerate(zip([0.0, *cumulative], cumulative)) if a != b)
     return i
 
 
@@ -181,14 +184,6 @@ def _pick(candidates, weights: list[int], x: int) -> int:
             return w
         x -= weights[w]
     raise AssertionError("draw beyond the total weight")
-
-
-def sample_uniform_finite(
-    system: ConcurrentSystem, start: str, length: int, seed: int
-) -> tuple[str, ...]:
-    """One execution drawn uniformly among all of the given length."""
-    sampler = UniformExecutionSampler(system, start, length)
-    return sampler.sample(SplitMix64(seed))
 
 
 @dataclass(frozen=True)

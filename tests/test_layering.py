@@ -174,3 +174,20 @@ def test_all_lists_exactly_what_the_package_imports():
     imported = set(_imported_names(_tree("__init__")))
     assert len(tracesys.__all__) == len(set(tracesys.__all__))
     assert set(tracesys.__all__) == imported
+
+
+def _external_imports(name: str) -> set[str]:
+    """The top-level packages outside tracesys that module ``name`` imports."""
+    out = set()
+    for node in _imports(_tree(name)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out - {"tracesys", "__future__"}
+
+
+def test_sampling_walks_the_chain_without_numpy():
+    # the chain is held as rows over the arcs; only the report spreads it
+    # into a dense matrix
+    assert "numpy" not in _external_imports("sampling")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from bench_modules import inputs, load_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_petri import cycle_nets
@@ -15,6 +16,7 @@ from tracesys.errors import (
     KernelDimensionNotOne,
     NotIrreducible,
 )
+from tracesys.fixtures import ALL_SYSTEMS
 from tracesys.graphs import StateCliqueGraph
 from tracesys.measure import (
     ZERO_THRESHOLD,
@@ -47,6 +49,12 @@ def by_name(measure, state, table="h"):
     """One state's row of h (or f), by clique name, padded."""
     rows = padded(measure.system, getattr(measure, table))
     return {str(c): v for c, v in rows[state].items()}
+
+
+def chain_block(measure, idx):
+    """The chain between the dsc nodes ``idx``, as a dense array: 0.0 off the arcs."""
+    rows = [dict(zip(measure.dsc.succ[v], measure.transition[v])) for v in idx]
+    return np.array([[row.get(w, 0.0) for w in idx] for row in rows])
 
 
 # ------------------------------------------------------------ cocycle
@@ -144,7 +152,7 @@ def test_mcsc_matrix_e1(e1_measure):
         [0.25, 0.25, 0.25, 0.25, 0, 0],
         [0, 0, 0, 0, 0.5, 0.5],
     ])
-    got = e1_measure.transition[np.ix_(idx, idx)]
+    got = chain_block(e1_measure, idx)
     assert np.abs(got - want).max() <= TOL
     # the null row is flagged unreachable
     flagged = [n for n, u in zip(nodes, e1_measure.unreachable) if u]
@@ -164,8 +172,57 @@ def test_mcsc_initial_law_aztec(aztec_measure):
 def test_mcsc_single_letter_free_monoid():
     system = ConcurrentSystem(TraceMonoid("a", []), ["s"], {("s", "a"): "s"})
     m = uniform_measure(system)
-    assert m.transition.shape == (1, 1)
-    assert abs(m.transition[0, 0] - 1.0) <= TOL
+    assert m.dsc.succ == ((0,),)  # one node, whose one arc is to itself
+    assert abs(m.transition[0][0] - 1.0) <= TOL
+
+
+LIMIT_LENGTH = 200
+LIMIT_SYSTEMS = {
+    **ALL_SYSTEMS,
+    **{f"phil{n}": (lambda n=n: load_system(inputs.phil_file(n))) for n in range(3, 7)},
+    "path8": lambda: load_system(inputs.path_file(8)),
+}
+
+
+def _paths_by_first_letter(adsc, length):
+    """paths[m][v]: the m-letter executions whose first letter is adsc node
+    v, counted backward over the arcs; an execution ends where a clique does."""
+    paths = [[0] * len(adsc.nodes), [int(c.size == i) for _s, c, i in adsc.nodes]]
+    for _ in range(2, length + 1):
+        prev = paths[-1]
+        paths.append([sum(prev[w] for w in out) for out in adsc.succ])
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_SYSTEMS))
+def test_chain_is_the_limit_of_the_uniform_laws(name):
+    # The paper realises the uniform measure as the chain of states and
+    # cliques.  Under the uniform law on the executions of length L, the
+    # first clique c1 from the base is (s, c1) with probability
+    # paths[L][s, c1] / total, and the next clique c2 given c1 is w with
+    # probability paths[L - |c1|][w] / paths[L][v].  As L grows they tend to
+    # h at the base and to the chain's rows.
+    analysis = Analysis.of(LIMIT_SYSTEMS[name]())
+    system, m, L = analysis.system, analysis.measure(), LIMIT_LENGTH
+    paths = _paths_by_first_letter(analysis.adsc, L)
+    head = {(s, c): k for k, (s, c, i) in enumerate(analysis.adsc.nodes) if i == 1}
+    count = [paths[L][head[node]] for node in m.dsc.nodes]
+
+    base = system.state_index(system.base_state)
+    first = sum(len(mv) - 1 for mv in system.moves[:base])  # the dsc nodes before the base's
+    nodes = range(first, first + len(system.moves[base]) - 1)
+    total = sum(count[v] for v in nodes)
+    law_gap = max(abs(count[v] / total - x) for v, x in zip(nodes, m.h[base][1:]))
+    assert law_gap <= 1e-10, law_gap
+
+    chain_gap = 0.0
+    for v, (_s, c) in enumerate(m.dsc.nodes):
+        if not m.dsc.labels[v] or m.unreachable[v]:
+            continue
+        assert count[v] > 0
+        for w, p in zip(m.dsc.succ[v], m.transition[v]):
+            chain_gap = max(chain_gap, abs(paths[L - c.size][head[m.dsc.nodes[w]]] / count[v] - p))
+    assert chain_gap <= 1e-10, chain_gap
 
 
 def _reference_tables(system, f, dsc):
@@ -211,9 +268,9 @@ def test_tables_bit_equal_to_reference(reference_systems):
         ] == [
             (k, type(v), float(v).hex()) for k, v in g.items()
         ], name
-        assert list(map(float.hex, measure.transition.ravel().tolist())) == list(
-            map(float.hex, m.ravel().tolist())
-        ), name
+        assert [list(map(float.hex, row)) for row in measure.transition] == [
+            list(map(float.hex, m[v, list(out)].tolist())) for v, out in enumerate(measure.dsc.succ)
+        ], name
         assert measure.unreachable == unreachable, name
 
 
@@ -335,6 +392,11 @@ def check_report_tables_equal_v1(system):
     assert _hex(doc["mcsc"]["initial"]) == _hex(named(initial))
     assert _hex(doc["mcsc"]["matrix"]) == _hex(chain.tolist())
     assert doc["mcsc"]["unreachable"] == list(unreachable)
+    row_sum = 0.0
+    for row, dead in zip(chain, unreachable):
+        if not dead:
+            row_sum = max(row_sum, abs(row.sum() - 1.0))
+    assert _hex(doc["identity_residuals"]["row_sum"]) == _hex(row_sum)
 
 
 def test_report_tables_equal_the_dict_tables(reference_systems):
@@ -358,6 +420,8 @@ def test_identity_residuals(name, request):
     res = m.identity_residuals()
     for key, value in res.items():
         assert value <= TOL, (key, value)
+    for v, (row, dead) in enumerate(zip(m.transition, m.unreachable)):
+        assert dead or abs(sum(row) - 1.0) <= TOL, v
 
 
 def _cocycle_residual_by_triples(u):

@@ -1,21 +1,27 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from bench_modules import inputs, load_system
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_petri import cycle_nets
 
+from tracesys.analysis import uniform_measure
 from tracesys.cli import main
 from tracesys.errors import EmptySet, TraceSysError
 from tracesys.fixtures import ALL_SYSTEMS
 from tracesys.graphs import build_adsc, build_dsc, count_paths
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import enumerate_executions
+from tracesys.petri import parse_petri, petri_to_system
 from tracesys.sampling import (
     SplitMix64,
     UniformExecutionSampler,
+    _draw,
     empirical_first_clique,
     sample_mcsc,
-    sample_uniform_finite,
 )
 from tracesys.system import ConcurrentSystem
 
@@ -83,6 +89,66 @@ def test_mcsc_replays_and_matches_normal_form(e1_measure):
 def test_mcsc_avoids_null_nodes(e1_measure):
     s = sample_mcsc(e1_measure, "s0", 5000, seed=1)
     assert ("s0", "d") not in {(st, str(c)) for st, c in s.nodes}
+
+
+def _dense_draw(cumulative, u):
+    """The draw over the dense n×n chain: numpy's search, and its fallback
+    to the last index where the running sum grows."""
+    i = int(np.searchsorted(cumulative, u, side="right"))
+    if i >= len(cumulative):
+        i = int(np.flatnonzero(np.diff(np.concatenate(([0.0], cumulative))))[-1])
+    return i
+
+
+def _dense_mcsc_nodes(measure, start, steps, seed):
+    """The nodes of ``sample_mcsc`` as the dense layout drew them: running
+    sums over whole rows of the n×n chain matrix, by numpy."""
+    system, dsc = measure.system, measure.dsc
+    chain = np.zeros((len(dsc.nodes), len(dsc.nodes)))
+    for v, (out, row) in enumerate(zip(dsc.succ, measure.transition)):
+        chain[v, list(out)] = row
+    cum_rows = np.cumsum(chain, axis=1)
+    i = system.state_index(start)
+    rng = SplitMix64(seed)
+    nodes = []
+    if steps > 0:
+        v = sum(len(m) - 1 for m in system.moves[:i])
+        v += _dense_draw(np.cumsum(measure.h[i][1:]), rng.random())
+        nodes.append(v)
+        for _ in range(steps - 1):
+            v = _dense_draw(cum_rows[v], rng.random())
+            nodes.append(v)
+    return tuple(dsc.nodes[v] for v in nodes)
+
+
+def test_draw_falls_back_to_the_last_index_that_adds():
+    # ten 0.1 sum to 1 - 2**-53, which a draw can reach: the zero after
+    # them adds nothing, so the draw takes the last 0.1
+    assert _draw([0.1] * 10 + [0.0], 1 - 2**-53) == 9
+    assert _dense_draw(np.cumsum([0.1] * 10 + [0.0]), 1 - 2**-53) == 9
+    # a running sum equal to u is passed over, zeros and all
+    assert _draw([0.5, 0.0, 0.5], 0.5) == 2
+    assert _dense_draw(np.cumsum([0.5, 0.0, 0.5]), 0.5) == 2
+
+
+def test_mcsc_walks_equal_the_dense_draw(reference_systems):
+    for name, system in reference_systems.items():
+        measure = uniform_measure(system)
+        for start in (system.states[0], system.states[-1]):
+            for seed in range(3):
+                want = _dense_mcsc_nodes(measure, start, 100, seed)
+                assert sample_mcsc(measure, start, 100, seed).nodes == want, (name, start, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=cycle_nets(), seed=st.integers(0, 2**32 - 1))
+def test_mcsc_walks_equal_the_dense_draw_on_random_cycle_nets(text, seed):
+    system = petri_to_system(parse_petri(text))
+    assume(system.classify().irreducible)
+    measure = uniform_measure(system)
+    for start in system.states[:3]:
+        want = _dense_mcsc_nodes(measure, start, 100, seed)
+        assert sample_mcsc(measure, start, 100, seed).nodes == want, start
 
 
 # sha256 of the stdout of ``sample --mode mcsc --json``: (system, start,
@@ -160,13 +226,12 @@ def test_uniform_finite_matches_oracle_support(e1):
 
 
 def test_uniform_finite_zero_length(e1):
-    assert sample_uniform_finite(e1, "s0", 0, seed=0) == ()
+    assert UniformExecutionSampler(e1, "s0", 0).sample(SplitMix64(0)) == ()
 
 
 def test_uniform_finite_length_one(e1):
-    counts = Counter(
-        sample_uniform_finite(e1, "s0", 1, seed=k)[0] for k in range(3000)
-    )
+    sampler = UniformExecutionSampler(e1, "s0", 1)
+    counts = Counter(sampler.sample(SplitMix64(k))[0] for k in range(3000))
     assert set(counts) == {"a", "b", "d"}
     for v in counts.values():
         assert abs(v / 3000 - 1 / 3) < 0.05
@@ -176,7 +241,7 @@ def test_uniform_finite_empty_set():
     monoid = TraceMonoid("ab", [])
     system = ConcurrentSystem(monoid, ["s", "t"], {("s", "a"): "t"})
     with pytest.raises(EmptySet):
-        sample_uniform_finite(system, "s", 2, seed=0)
+        UniformExecutionSampler(system, "s", 2).sample(SplitMix64(0))
 
 
 def test_uniform_finite_exactness_4sigma(e1):
