@@ -32,7 +32,6 @@ from .graphs import (
     build_dsc,
     classify_nodes,
     condense,
-    count_paths,
     count_paths_table,
 )
 from .measure import UniformMeasure, numeric_null_check
@@ -43,7 +42,6 @@ from .sampling import (
     SampledExecution,
     SplitMix64,
     UniformExecutionSampler,
-    empirical_first_clique,
     sample_mcsc,
 )
 from .spectral import (
@@ -83,11 +81,9 @@ __all__ = [
     "classify_nodes",
     "compare_roots",
     "condense",
-    "count_paths",
     "count_paths_table",
     "cross_check",
     "determinant",
-    "empirical_first_clique",
     "enumerate_executions",
     "growth_eval",
     "mobius_matrix",

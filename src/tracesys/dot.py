@@ -29,7 +29,7 @@ def dot_state_clique_graph(graph: StateCliqueGraph) -> str:
     """States-and-cliques digraph; null nodes filled grey, SCCs clustered,
     terminal clusters double-bordered."""
     cond = graph.condensation()
-    lines = [f"digraph {graph.kind.replace('+', '_pos')} {{", "  node [style=filled];"]
+    lines = [f"digraph {graph.kind} {{", "  node [style=filled];"]
     for ci, comp in enumerate(cond.components):
         lines.append(f"  subgraph cluster_{ci} {{")
         if cond.terminal[ci]:

@@ -126,9 +126,8 @@ class StateCliqueGraph:
     dsc nodes are (state, clique) pairs, adsc nodes (state, clique, i)
     triples; ``succ`` lists the successors of each node by index and
     ``labels`` holds one positive flag per node (see :func:`classify_nodes`;
-    every triple of an adsc carries the flag of its dsc node).  Kinds ending
-    in "+" denote the induced positive subgraph.  The condensation is
-    computed once on first use.  Graphs handed out by
+    every triple of an adsc carries the flag of its dsc node).  The
+    condensation is computed once on first use.  Graphs handed out by
     :class:`~tracesys.analysis.Analysis` are shared: treat them as read-only.
     """
 
@@ -154,29 +153,13 @@ class StateCliqueGraph:
         positive nodes, in order, and each one's terminal flag among them.
 
         Positive nodes are closed under predecessors, so each component is
-        wholly positive or null, and :meth:`positive_subgraph` has exactly
-        these components, with the same arcs, in this order.
+        wholly positive or null.
         """
         cond = self.condensation()
         positive = [self.labels[comp[0]] for comp in cond.components]
         comps = tuple(ci for ci, pos in enumerate(positive) if pos)
         terminal = tuple(not any(positive[d] for d in cond.succ[ci]) for ci in comps)
         return comps, terminal
-
-    def positive_subgraph(self) -> "StateCliqueGraph":
-        """Induced subgraph on the positive nodes."""
-        keep = [i for i, pos in enumerate(self.labels) if pos]
-        remap = {old: new for new, old in enumerate(keep)}
-        succ = tuple(
-            tuple(remap[w] for w in self.succ[v] if w in remap) for v in keep
-        )
-        return StateCliqueGraph(
-            kind=self.kind + "+",
-            system=self.system,
-            nodes=tuple(self.nodes[i] for i in keep),
-            succ=succ,
-            labels=(True,) * len(keep),
-        )
 
     def node_str(self, i: int) -> str:
         node = self.nodes[i]
@@ -299,13 +282,3 @@ def count_paths_table(
                     nxt[w] += x
         vec = nxt
     return table
-
-
-def count_paths(
-    adsc: StateCliqueGraph, origin: str, target: str | None, n: int
-) -> int:
-    """Number of executions of length ``n`` from ``origin`` (to ``target``):
-    the sum of row ``n`` of :func:`count_paths_table`, or its ``target`` entry."""
-    j = None if target is None else adsc.system.state_index(target)
-    row = count_paths_table(adsc, origin, n)[n]
-    return sum(row) if j is None else row[j]

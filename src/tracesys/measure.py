@@ -199,14 +199,6 @@ class UniformMeasure:
             self.u[self.system.state_index(b)] / self.u[self.system.state_index(a)]
         )
 
-    def cylinder(self, state: str, word) -> float:
-        """Measure of the set of infinite executions extending ``word``."""
-        word = tuple(word)
-        target = self.system.act(state, word)
-        if target is None:
-            return 0.0
-        return self.r ** len(word) * self.gamma(state, target)
-
     def identity_residuals(self) -> dict[str, float]:
         """Worst-case violations of the defining identities (for validation)."""
         res = {"cocycle": 0.0, "h_empty": 0.0, "h_nonneg": 0.0, "h_sum": 0.0,

@@ -119,16 +119,6 @@ class TraceMonoid:
         """Complement of independence; every letter depends on itself."""
         return not self.independent(a, b)
 
-    def dependence_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Edges of the Coxeter graph (unordered, no self-loops)."""
-        n = len(self.letters)
-        return tuple(
-            (self.letters[i], self.letters[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not self._indep_masks[i] >> j & 1
-        )
-
     def _dep_mask(self, i: int) -> int:
         return self._full_mask & ~self._indep_masks[i]
 
@@ -138,25 +128,6 @@ class TraceMonoid:
         return Clique(
             tuple(self.letters[i] for i in range(len(self.letters)) if mask >> i & 1), mask
         )
-
-    def clique(self, letters: Iterable[str]) -> Clique:
-        mask = 0
-        for a in letters:
-            mask |= 1 << self.letter_index(a)
-        c = self.clique_from_mask(mask)
-        if not self.is_clique_mask(mask):
-            raise TraceSysError(f"{c} is not a clique: letters are not pairwise independent")
-        return c
-
-    def is_clique_mask(self, mask: int) -> bool:
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            i = bit.bit_length() - 1
-            rest ^= bit
-            if rest & ~self._indep_masks[i]:
-                return False
-        return True
 
     def cliques(self) -> tuple[Clique, ...]:
         """All cliques including the empty one, ordered by size then by letter indices."""
@@ -176,12 +147,6 @@ class TraceMonoid:
             self._cliques = tuple(self.clique_from_mask(m) for m in masks)
         return self._cliques
 
-    def nonempty_cliques(self) -> tuple[Clique, ...]:
-        return self.cliques()[1:]
-
-    def empty_clique(self) -> Clique:
-        return self.cliques()[0]
-
     def dependence_mask(self, c: Clique) -> int:
         """Letters that depend on some letter of ``c``, as a mask.
 
@@ -194,19 +159,6 @@ class TraceMonoid:
             rest ^= bit
             out |= self._dep_mask(bit.bit_length() - 1)
         return out
-
-    def normal_step(self, c: Clique, d: Clique) -> bool:
-        """Normality c -> d: every letter of d depends on some letter of c.
-
-        The letter-by-letter reference for :meth:`dependence_mask`.
-        """
-        rest = d.mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if not c.mask & self._dep_mask(bit.bit_length() - 1):
-                return False
-        return True
 
     # ------------------------------------------------------------ normal form
 
@@ -228,9 +180,6 @@ class TraceMonoid:
             else:
                 cliques[j] |= 1 << i
         return NormalForm(tuple(self.clique_from_mask(m) for m in cliques))
-
-    def traces_equal(self, w1: Iterable[str], w2: Iterable[str]) -> bool:
-        return self.normal_form(w1) == self.normal_form(w2)
 
     # ------------------------------------------------------------ invariants
 
@@ -255,14 +204,6 @@ class TraceMonoid:
     def is_irreducible(self) -> bool:
         """True iff the Coxeter graph (letters, dependence) is connected."""
         return len(self.coxeter_components()) == 1
-
-    def restrict_letters(self, keep: Sequence[str]) -> "TraceMonoid":
-        """Sub-monoid generated by ``keep``, with the induced independence."""
-        keep_set = set(keep)
-        for a in keep:
-            self.letter_index(a)
-        pairs = [(a, b) for a, b in self.independent_pairs if a in keep_set and b in keep_set]
-        return TraceMonoid([a for a in self.letters if a in keep_set], pairs)
 
     def __repr__(self) -> str:
         rel = ", ".join(f"{a}{b}={b}{a}" for a, b in self.independent_pairs)

@@ -34,18 +34,6 @@ def neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return normalize(out)
-
-
 def evaluate(p: Poly, x):
     """Horner evaluation; exact for int/Fraction arguments."""
     acc = 0

@@ -102,11 +102,11 @@ def sample_mcsc(
 
 def _draw(weights, u: float) -> int:
     """The first index whose running sum of ``weights`` exceeds u.  If the
-    whole sum rounds to at most u, the last index that adds to it."""
+    whole sum rounds to at most u, the last index of positive weight."""
     cumulative = list(accumulate(weights))
     i = bisect_right(cumulative, u)
     if i == len(cumulative):
-        i = max(k for k, (a, b) in enumerate(zip([0.0, *cumulative], cumulative)) if a != b)
+        i = max(k for k, w in enumerate(weights) if w > 0)
     return i
 
 
@@ -166,11 +166,6 @@ class UniformExecutionSampler:
             m -= 1
         return tuple(word)
 
-    def first_clique(self, word: tuple[str, ...]) -> Clique:
-        if not word:
-            raise TraceSysError("the empty execution has no first clique")
-        return self.system.monoid.normal_form(word).cliques[0]
-
     def _letter(self, v: int) -> str:
         _s, c, i = self._adsc.nodes[v]
         return c.letters[i - 1]
@@ -184,64 +179,3 @@ def _pick(candidates, weights: list[int], x: int) -> int:
             return w
         x -= weights[w]
     raise AssertionError("draw beyond the total weight")
-
-
-@dataclass(frozen=True)
-class FirstCliqueReport:
-    start: str
-    length: int
-    samples: int
-    counts: dict[Clique, int]
-    frequencies: dict[Clique, float]
-    expected: dict[Clique, float]
-    tv_distance: float
-    z_scores: dict[Clique, float]
-
-
-def empirical_first_clique(
-    system: ConcurrentSystem,
-    measure: UniformMeasure,
-    start: str,
-    length: int,
-    samples: int,
-    seed: int,
-) -> FirstCliqueReport:
-    """Frequencies of the first clique of uniform executions vs. its limit law.
-
-    Diagnostic only: total-variation distance and per-clique z-scores
-    against the law of the first clique under the uniform measure.
-    """
-    if length < 1:
-        raise TraceSysError("length must be positive: the empty execution has no first clique")
-    if samples <= 0:
-        raise TraceSysError("samples must be positive")
-    sampler = UniformExecutionSampler(system, start, length)
-    rng = SplitMix64(seed, stream=1)
-    counts: dict[Clique, int] = {}
-    for _ in range(samples):
-        word = sampler.sample(rng)
-        c = sampler.first_clique(word)
-        counts[c] = counts.get(c, 0) + 1
-
-    enabled = system.enabled_cliques(start)
-    expected = dict(zip(enabled, measure.h[system.state_index(start)][1:]))
-    freqs = {c: counts.get(c, 0) / samples for c in enabled}
-    tv = 0.5 * sum(abs(freqs[c] - expected[c]) for c in enabled)
-    z = {}
-    for c in enabled:
-        p = expected[c]
-        got = counts.get(c, 0)
-        if 0.0 < p < 1.0:
-            z[c] = (got - samples * p) / (samples * p * (1 - p)) ** 0.5
-        else:
-            z[c] = 0.0 if got == samples * p else float("inf")
-    return FirstCliqueReport(
-        start=start,
-        length=length,
-        samples=samples,
-        counts={c: counts.get(c, 0) for c in enabled},
-        frequencies=freqs,
-        expected=expected,
-        tv_distance=tv,
-        z_scores=z,
-    )

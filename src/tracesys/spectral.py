@@ -43,9 +43,6 @@ class PolynomialMatrix:
     def dim(self) -> int:
         return len(self.states)
 
-    def entry(self, a: str, b: str) -> poly.Poly:
-        return self.entries[self.states.index(a)][self.states.index(b)]
-
     def evaluate(self, x) -> list[list]:
         return [[poly.evaluate(e, x) for e in row] for row in self.entries]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DiamondViolation, NotAccessible, TraceSysError, UnknownState
+from .errors import DiamondViolation, TraceSysError, UnknownState
 from .graphs import reachable, tarjan_sccs
 from .monoid import Clique, TraceMonoid
 
@@ -116,12 +116,6 @@ class ConcurrentSystem:
         """Non-empty enabled cliques at the state, in canonical order."""
         return tuple(c for c, _t in self.moves[self.state_index(state)][1:])
 
-    def enabled_letters(self, state: str) -> tuple[str, ...]:
-        si = self.state_index(state)
-        return tuple(
-            a for i, a in enumerate(self.monoid.letters) if self._table[si][i] >= 0
-        )
-
     def letter_arcs(self) -> tuple[tuple[str, str, str], ...]:
         """Labeled arcs (state, letter, target) of the multigraph of states."""
         return tuple(
@@ -202,114 +196,10 @@ class ConcurrentSystem:
 
     # ------------------------------------------------------------ derived systems
 
-    def restrict(self, letter: str) -> "ConcurrentSystem":
-        """System over the alphabet without ``letter``; action induced."""
-        self.monoid.letter_index(letter)
-        keep = [a for a in self.monoid.letters if a != letter]
-        sub = self.monoid.restrict_letters(keep)
-        action = {
-            (s, a): t for s, a, t in self.letter_arcs() if a != letter
-        }
-        return ConcurrentSystem(sub, self.states, action, base_state=self.base_state)
-
     @classmethod
     def canonical(cls, monoid: TraceMonoid) -> "ConcurrentSystem":
         """One-state system with total action, canonically attached to a monoid."""
         return cls(monoid, ["*"], {("*", a): "*" for a in monoid.letters})
-
-    # ------------------------------------------------------------ linking executions
-
-    def find_linking_execution(self, state: str, letter: str) -> tuple[str, ...] | None:
-        """A witness word whose image links the whole alphabet, rooted at ``letter``.
-
-        Built as a dependence-graph walk from ``letter`` covering the
-        alphabet, with a shortest enabling path (BFS over states) inserted
-        before each walk letter.  Returns None when the walk or some
-        decoration does not exist.  The witness is re-verified before
-        being returned.
-        """
-        if not self.classify().accessible:
-            raise NotAccessible("linking executions are only sought in accessible systems")
-        si = self.state_index(state)
-        self.monoid.letter_index(letter)
-
-        walk = self._coxeter_walk(letter)
-        if walk is None:
-            return None
-
-        word: list[str] = []
-        positions: list[int] = []
-        cur = si
-        for b in walk:
-            path = self._shortest_enabling_path(cur, b)
-            if path is None:
-                return None
-            word.extend(path)
-            positions.append(len(word))
-            word.append(b)
-            cur = self._fold(cur, path + [b])
-
-        self._verify_linking(state, word, positions, letter)
-        return tuple(word)
-
-    def _coxeter_walk(self, start: str) -> list[str] | None:
-        """Walk in the dependence graph from ``start`` covering the alphabet."""
-        letters = self.monoid.letters
-        adj = {a: [] for a in letters}
-        for a, b in self.monoid.dependence_pairs():
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {start}
-        seq = [start]
-
-        def dfs(u: str) -> None:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    seq.append(v)
-                    dfs(v)
-                    seq.append(u)
-
-        dfs(start)
-        return seq if len(seen) == len(letters) else None
-
-    def _shortest_enabling_path(self, si: int, letter: str) -> list[str] | None:
-        """Shortest letter word leading from ``si`` to a state enabling ``letter``."""
-        ai = self.monoid.letter_index(letter)
-        parent: dict[int, tuple[int, str]] = {si: (-1, "")}
-        queue = [si]
-        while queue:
-            nxt = []
-            for u in queue:
-                if self._table[u][ai] >= 0:
-                    path = []
-                    while parent[u][0] >= 0:
-                        u, a = parent[u]
-                        path.append(a)
-                    return path[::-1]
-                for bi, b in enumerate(self.monoid.letters):
-                    v = self._table[u][bi]
-                    if v >= 0 and v not in parent:
-                        parent[v] = (u, b)
-                        nxt.append(v)
-            queue = nxt
-        return None
-
-    def _verify_linking(
-        self, state: str, word: list[str], positions: list[int], letter: str
-    ) -> None:
-        m = self.monoid
-        ok = (
-            self.act(state, word) is not None
-            and word[positions[0]] == letter
-            and all(p < q for p, q in zip(positions, positions[1:]))
-            and all(
-                m.dependent(word[p], word[q]) for p, q in zip(positions, positions[1:])
-            )
-            and {word[p] for p in positions} == set(m.letters)
-        )
-        if not ok:
-            raise TraceSysError("internal error: linking witness failed re-verification")
 
     def __repr__(self) -> str:
         return f"ConcurrentSystem({self.monoid!r}, states={list(self.states)})"

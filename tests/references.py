@@ -1,0 +1,221 @@
+"""Independent reference implementations that the tests compare the library against.
+
+None of these is on a path that the CLI, the benchmark or the library
+runs: each is a second, plainer way to reach a result that the pipeline
+computes otherwise, or a tool the tests use to build their inputs.
+"""
+
+from dataclasses import dataclass
+
+from tracesys import poly
+from tracesys.errors import NotAccessible, TraceSysError
+from tracesys.graphs import StateCliqueGraph
+from tracesys.measure import UniformMeasure
+from tracesys.monoid import Clique, TraceMonoid
+from tracesys.sampling import SplitMix64, UniformExecutionSampler
+from tracesys.system import ConcurrentSystem
+
+
+# ------------------------------------------------------------ polynomials
+
+def mul(p: poly.Poly, q: poly.Poly) -> poly.Poly:
+    """Product of two exact integer polynomials, by the schoolbook rule."""
+    if not p or not q:
+        return poly.ZERO
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly.normalize(out)
+
+
+# ------------------------------------------------------------ monoids and systems
+
+def normal_step(monoid: TraceMonoid, c: Clique, d: Clique) -> bool:
+    """Normality c -> d, letter by letter: every letter of d depends on some
+    letter of c.  The reference for ``TraceMonoid.dependence_mask``."""
+    return all(any(monoid.dependent(a, b) for a in c.letters) for b in d.letters)
+
+
+def restrict(system: ConcurrentSystem, letter: str) -> ConcurrentSystem:
+    """The system over the alphabet without ``letter``, with the induced
+    independence and action.  The reference for
+    ``mobius_matrix(system, without=letter)``."""
+    monoid = system.monoid
+    monoid.letter_index(letter)
+    sub = TraceMonoid(
+        [a for a in monoid.letters if a != letter],
+        [(a, b) for a, b in monoid.independent_pairs if letter not in (a, b)],
+    )
+    action = {(s, a): t for s, a, t in system.letter_arcs() if a != letter}
+    return ConcurrentSystem(sub, system.states, action, base_state=system.base_state)
+
+
+def positive_subgraph(graph: StateCliqueGraph) -> StateCliqueGraph:
+    """The subgraph induced on the positive nodes, its kind marked with "+".
+    The reference for ``StateCliqueGraph.positive_components``."""
+    keep = [i for i, pos in enumerate(graph.labels) if pos]
+    remap = {old: new for new, old in enumerate(keep)}
+    succ = tuple(tuple(remap[w] for w in graph.succ[v] if w in remap) for v in keep)
+    return StateCliqueGraph(
+        kind=graph.kind + "+",
+        system=graph.system,
+        nodes=tuple(graph.nodes[i] for i in keep),
+        succ=succ,
+        labels=(True,) * len(keep),
+    )
+
+
+# ------------------------------------------------------------ linking executions
+
+def find_linking_execution(
+    system: ConcurrentSystem, state: str, letter: str
+) -> tuple[str, ...] | None:
+    """A witness word whose image links the whole alphabet, rooted at ``letter``.
+
+    Built as a dependence-graph walk from ``letter`` covering the alphabet,
+    with a shortest enabling path (BFS over states) inserted before each
+    walk letter.  Returns None when the walk or some decoration does not
+    exist.  The witness is re-verified before being returned.
+    """
+    if not system.classify().accessible:
+        raise NotAccessible("linking executions are only sought in accessible systems")
+    system.state_index(state)
+    system.monoid.letter_index(letter)
+
+    walk = _coxeter_walk(system.monoid, letter)
+    if walk is None:
+        return None
+
+    word: list[str] = []
+    positions: list[int] = []
+    cur = state
+    for b in walk:
+        path = _shortest_enabling_path(system, cur, b)
+        if path is None:
+            return None
+        word.extend(path)
+        positions.append(len(word))
+        word.append(b)
+        cur = system.act(cur, path + [b])
+
+    assert _is_linking(system, state, word, positions, letter), word
+    return tuple(word)
+
+
+def _coxeter_walk(monoid: TraceMonoid, start: str) -> list[str] | None:
+    """Walk in the dependence graph from ``start`` covering the alphabet."""
+    letters = monoid.letters
+    adj = {a: [b for b in letters if b != a and monoid.dependent(a, b)] for a in letters}
+    seen = {start}
+    seq = [start]
+
+    def dfs(u: str) -> None:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                seq.append(v)
+                dfs(v)
+                seq.append(u)
+
+    dfs(start)
+    return seq if len(seen) == len(letters) else None
+
+
+def _shortest_enabling_path(
+    system: ConcurrentSystem, state: str, letter: str
+) -> list[str] | None:
+    """Shortest letter word leading from ``state`` to a state enabling ``letter``."""
+    parent: dict[str, tuple[str | None, str]] = {state: (None, "")}
+    queue = [state]
+    while queue:
+        nxt = []
+        for u in queue:
+            if system.act(u, [letter]) is not None:
+                path = []
+                while parent[u][0] is not None:
+                    u, a = parent[u]
+                    path.append(a)
+                return path[::-1]
+            for b in system.monoid.letters:
+                v = system.act(u, [b])
+                if v is not None and v not in parent:
+                    parent[v] = (u, b)
+                    nxt.append(v)
+        queue = nxt
+    return None
+
+
+def _is_linking(
+    system: ConcurrentSystem, state: str, word: list[str], positions: list[int], letter: str
+) -> bool:
+    m = system.monoid
+    return (
+        system.act(state, word) is not None
+        and word[positions[0]] == letter
+        and all(p < q for p, q in zip(positions, positions[1:]))
+        and all(m.dependent(word[p], word[q]) for p, q in zip(positions, positions[1:]))
+        and {word[p] for p in positions} == set(m.letters)
+    )
+
+
+# ------------------------------------------------------------ first-clique statistics
+
+@dataclass(frozen=True)
+class FirstCliqueReport:
+    start: str
+    length: int
+    samples: int
+    counts: dict[Clique, int]
+    frequencies: dict[Clique, float]
+    expected: dict[Clique, float]
+    tv_distance: float
+    z_scores: dict[Clique, float]
+
+
+def empirical_first_clique(
+    system: ConcurrentSystem,
+    measure: UniformMeasure,
+    start: str,
+    length: int,
+    samples: int,
+    seed: int,
+) -> FirstCliqueReport:
+    """Frequencies of the first clique of uniform executions vs. its limit law.
+
+    A sampler check: total-variation distance and per-clique z-scores
+    against the law of the first clique under the uniform measure.
+    """
+    if length < 1:
+        raise TraceSysError("length must be positive: the empty execution has no first clique")
+    if samples <= 0:
+        raise TraceSysError("samples must be positive")
+    sampler = UniformExecutionSampler(system, start, length)
+    rng = SplitMix64(seed, stream=1)
+    counts: dict[Clique, int] = {}
+    for _ in range(samples):
+        c = system.monoid.normal_form(sampler.sample(rng)).cliques[0]
+        counts[c] = counts.get(c, 0) + 1
+
+    enabled = system.enabled_cliques(start)
+    expected = dict(zip(enabled, measure.h[system.state_index(start)][1:]))
+    freqs = {c: counts.get(c, 0) / samples for c in enabled}
+    tv = 0.5 * sum(abs(freqs[c] - expected[c]) for c in enabled)
+    z = {}
+    for c in enabled:
+        p = expected[c]
+        got = counts.get(c, 0)
+        if 0.0 < p < 1.0:
+            z[c] = (got - samples * p) / (samples * p * (1 - p)) ** 0.5
+        else:
+            z[c] = 0.0 if got == samples * p else float("inf")
+    return FirstCliqueReport(
+        start=start,
+        length=length,
+        samples=samples,
+        counts={c: counts.get(c, 0) for c in enabled},
+        frequencies=freqs,
+        expected=expected,
+        tv_distance=tv,
+        z_scores=z,
+    )

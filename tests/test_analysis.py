@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from references import empirical_first_clique, positive_subgraph
 
 from tracesys import fixtures, graphs, spectral
 from tracesys.analysis import (
@@ -18,7 +19,7 @@ from tracesys.analysis import (
 from tracesys.errors import TraceSysError
 from tracesys.oracle import cross_check
 from tracesys.report import analyze_report
-from tracesys.sampling import UniformExecutionSampler, empirical_first_clique, sample_mcsc
+from tracesys.sampling import UniformExecutionSampler, sample_mcsc
 from tracesys.spectral import (
     DEFAULT_PRECISION,
     component_radius,
@@ -35,7 +36,7 @@ def _radii(graph):
 def test_positive_radii_reused_from_adsc_bit_for_bit(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         a = Analysis(system)
-        pos = a.adsc.positive_subgraph()
+        pos = positive_subgraph(a.adsc)
         pos_radii = tuple(a.adsc_radii[ci] for ci in a.adsc.positive_components()[0])
         assert pos_radii == _radii(pos), name
         assert max_radius(pos_radii) == spectral_radius(pos.succ), name

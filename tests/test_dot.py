@@ -1,3 +1,5 @@
+from references import positive_subgraph
+
 from tracesys.dot import dot_condensation, dot_state_clique_graph, dot_states
 from tracesys.graphs import build_dsc
 
@@ -18,7 +20,7 @@ def test_dsc_export_deterministic(e1):
 
 
 def test_condensation_export(aztec):
-    pos = build_dsc(aztec).positive_subgraph()
+    pos = positive_subgraph(build_dsc(aztec))
     text = dot_condensation(pos)
     assert text.count("shape=box") == 3
     assert text.count("peripheries=2") == 1

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import normal_step, positive_subgraph
 from test_petri import cycle_nets
 
 from tracesys.errors import TraceSysError
@@ -11,7 +12,6 @@ from tracesys.graphs import (
     build_dsc,
     classify_nodes,
     condense,
-    count_paths,
     count_paths_table,
     reachable,
     tarjan_sccs,
@@ -109,7 +109,7 @@ def normal_step_successors(system, dsc):
         tuple(
             index[(t, d)]
             for d in system.enabled_cliques(t)
-            if system.monoid.normal_step(c, d)
+            if normal_step(system.monoid, c, d)
         )
         for s, c in dsc.nodes
         for t in [system.act(s, c.letters)]
@@ -198,14 +198,14 @@ def test_condense_deterministic_numbering():
 
 def test_aztec_positive_sccs(aztec):
     dsc = build_dsc(aztec)
-    cond = dsc.positive_subgraph().condensation()
+    cond = positive_subgraph(dsc).condensation()
     assert len(cond.components) == 3
     assert sum(cond.terminal) == 1
 
 
 def test_twelve_terminal_components(twelve):
     dsc = build_dsc(twelve)
-    pos = dsc.positive_subgraph()
+    pos = positive_subgraph(dsc)
     cond = pos.condensation()
     terminal_sets = [
         frozenset((pos.nodes[v][0], frozenset(pos.nodes[v][1].letters)) for v in comp)
@@ -294,7 +294,7 @@ def test_positive_components_match_positive_subgraph(reference_systems):
         for graph in (dsc, build_adsc(dsc)):
             comps, terminal = graph.positive_components()
             cond = graph.condensation()
-            pos = graph.positive_subgraph()
+            pos = positive_subgraph(graph)
             ref = pos.condensation()
             got = [tuple(graph.nodes[v] for v in cond.components[ci]) for ci in comps]
             want = [tuple(pos.nodes[v] for v in comp) for comp in ref.components]
@@ -306,25 +306,27 @@ def test_positive_components_match_positive_subgraph(reference_systems):
 
 def test_count_paths_e1(e1):
     adsc = build_adsc(build_dsc(e1))
-    assert count_paths(adsc, "s0", "s0", 2) == 4  # aa, ad, dd, bc
-    assert count_paths(adsc, "s0", "s0", 0) == 1
-    assert count_paths(adsc, "s0", "s1", 0) == 0
-    assert count_paths(adsc, "s0", None, 1) == 3  # a, b, d
+    table = count_paths_table(adsc, "s0", 2)
+    s0, s1 = e1.state_index("s0"), e1.state_index("s1")
+    assert table[2][s0] == 4  # aa, ad, dd, bc
+    assert table[0][s0] == 1
+    assert table[0][s1] == 0
+    assert sum(table[1]) == 3  # a, b, d
 
 
 def test_count_paths_rejects(e1):
     dsc = build_dsc(e1)
     adsc = build_adsc(dsc)
     with pytest.raises(TraceSysError):
-        count_paths(adsc, "s0", None, -1)
+        count_paths_table(adsc, "s0", -1)
     with pytest.raises(TraceSysError):
-        count_paths(dsc, "s0", None, 1)
+        count_paths_table(dsc, "s0", 1)
 
 
 def test_count_paths_rejects_the_positive_subgraph(e1):
     # its chains do not follow the moves table, and its paths are not executions
     with pytest.raises(TraceSysError):
-        count_paths_table(build_adsc(build_dsc(e1)).positive_subgraph(), "s0", 2)
+        count_paths_table(positive_subgraph(build_adsc(build_dsc(e1))), "s0", 2)
 
 
 def _count_table_by_names(adsc, origin, max_len):

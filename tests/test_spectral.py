@@ -7,6 +7,7 @@ import pytest
 from bench_modules import inputs, load_system
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from references import mul, positive_subgraph, restrict
 
 from tracesys import poly, spectral
 from tracesys.analysis import (
@@ -47,10 +48,11 @@ from tracesys.system import ConcurrentSystem
 
 def test_mobius_matrix_e1(e1):
     pm = mobius_matrix(e1)
-    assert pm.entry("s0", "s0") == (1, -2, 1)
-    assert pm.entry("s0", "s1") == (0, -1, 1)
-    assert pm.entry("s1", "s0") == (0, -1)
-    assert pm.entry("s1", "s1") == (1, -1)
+    s0, s1 = pm.states.index("s0"), pm.states.index("s1")
+    assert pm.entries[s0][s0] == (1, -2, 1)
+    assert pm.entries[s0][s1] == (0, -1, 1)
+    assert pm.entries[s1][s0] == (0, -1)
+    assert pm.entries[s1][s1] == (1, -1)
 
 
 def test_mobius_matrix_canonical(canonical_abc):
@@ -73,15 +75,15 @@ def test_mobius_matrix_product_split():
     monoid = TraceMonoid("ab", [("a", "b")])
     system = ConcurrentSystem.canonical(monoid)
     pm = mobius_matrix(system)
-    part_a = mobius_matrix(system.restrict("b"))
-    part_b = mobius_matrix(system.restrict("a"))
-    assert determinant(pm) == poly.mul(determinant(part_a), determinant(part_b))
+    part_a = mobius_matrix(restrict(system, "b"))
+    part_b = mobius_matrix(restrict(system, "a"))
+    assert determinant(pm) == mul(determinant(part_a), determinant(part_b))
 
 
 def test_mobius_matrix_without_letter_is_restricted_matrix(reference_systems):
     for name, system in reference_systems.items():
         for a in system.monoid.letters:
-            want = mobius_matrix(system.restrict(a))
+            want = mobius_matrix(restrict(system, a))
             assert mobius_matrix(system, without=a) == want, (name, a)
 
 
@@ -283,7 +285,7 @@ def test_compare_roots_equal_irrational():
     # same polynomial, independent isolations: proven equal via common factor
     theta = (1, -3, 1)
     a = root_from_theta(theta, Fraction(1, 10**6))
-    b = root_from_theta(poly.mul(theta, (1, -1)), Fraction(1, 10**6))
+    b = root_from_theta(mul(theta, (1, -1)), Fraction(1, 10**6))
     cmp, _, _ = compare_roots(a, b)
     assert cmp == 0
 
@@ -352,14 +354,14 @@ def rational_and_quadratic_products(draw):
     theta = (1,)
     for _ in range(draw(st.integers(0, 3))):
         p, q = draw(st.integers(-5, 45)), draw(st.integers(1, 40))
-        theta = poly.mul(theta, (-p, q))
+        theta = mul(theta, (-p, q))
     for _ in range(draw(st.integers(0 if len(theta) > 1 else 1, 2))):
         a, b, c = draw(st.integers(1, 20)), draw(st.integers(-40, 40)), draw(st.integers(-20, 20))
         disc = b * b - 4 * a * c
         assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
-        theta = poly.mul(theta, (c, b, a))
+        theta = mul(theta, (c, b, a))
     if draw(st.booleans()):
-        theta = poly.mul(theta, theta[: draw(st.integers(2, len(theta)))] or (1,))
+        theta = mul(theta, theta[: draw(st.integers(2, len(theta)))] or (1,))
     assume(poly.degree(theta) >= 1)
     return theta
 
@@ -572,7 +574,7 @@ def test_positive_part_same_radius(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         adsc = build_adsc(build_dsc(system))
         rho_all = spectral_radius(adsc.succ)
-        rho_pos = spectral_radius(adsc.positive_subgraph().succ)
+        rho_pos = spectral_radius(positive_subgraph(adsc).succ)
         assert abs(rho_all - rho_pos) < 1e-6, name
 
 
@@ -590,7 +592,7 @@ def test_component_radii_e1(e1):
 
 def test_component_radii_terminal_equals_basic(aztec, twelve):
     for system in (aztec, twelve):
-        terminal = build_adsc(build_dsc(system)).positive_subgraph().condensation().terminal
+        terminal = positive_subgraph(build_adsc(build_dsc(system))).condensation().terminal
         assert basic_flags(_positive_radii(system)) == terminal
 
 

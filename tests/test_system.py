@@ -3,8 +3,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import find_linking_execution, restrict
 from test_petri import cycle_nets
 
+from tracesys.analysis import spectral_property_report
 from tracesys.errors import DiamondViolation, NotAccessible, UnknownLetter, UnknownState
 from tracesys.fixtures import two_state_system
 from tracesys.monoid import TraceMonoid
@@ -100,11 +102,11 @@ def test_enabled_cliques_e1(e1):
     assert [(str(c), e1.states[t]) for c, t in e1.moves[e1.state_index("s1")]] == [
         ("ε", "s1"), ("c", "s0"), ("d", "s1")
     ]
-    assert e1.enabled_letters("s0") == ("a", "b", "d")
+    assert tuple(a for s, a, _t in e1.letter_arcs() if s == "s0") == ("a", "b", "d")
 
 
 def test_enabled_cliques_canonical(canonical_abc):
-    assert canonical_abc.enabled_cliques("*") == canonical_abc.monoid.nonempty_cliques()
+    assert canonical_abc.enabled_cliques("*") == canonical_abc.monoid.cliques()[1:]
 
 
 def folded_moves(system):
@@ -124,7 +126,7 @@ def folded_moves(system):
 def check_moves(system):
     assert system.moves == folded_moves(system)
     for i, s in enumerate(system.states):
-        assert system.moves[i][0] == (system.monoid.empty_clique(), i)
+        assert system.moves[i][0] == (system.monoid.cliques()[0], i)
         assert system.enabled_cliques(s) == tuple(c for c, _t in system.moves[i][1:])
 
 
@@ -279,6 +281,16 @@ def test_classify_matches_per_state_search(system):
     assert system.classify() == reference_classify(system)
 
 
+@settings(max_examples=300, deadline=None)
+@given(random_systems())
+def test_spectral_property_iff_irreducible_on_random_systems(system):
+    # the paper's main equivalence, where it applies: an accessible,
+    # non-trivial system is irreducible iff it has the spectral property
+    cls = system.classify()
+    if cls.accessible and not cls.trivial:
+        assert cls.irreducible == spectral_property_report(system).holds
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_coxeter_components_match_bfs(data):
@@ -326,9 +338,9 @@ def test_classify_memory_is_linear():
 # ------------------------------------------------------------ restriction
 
 def test_restrict_e1(e1):
-    sub = e1.restrict("c")
+    sub = restrict(e1, "c")
     assert sub.monoid.letters == ("a", "b", "d")
-    assert sub.enabled_letters("s1") == ("d",)
+    assert tuple(a for s, a, _t in sub.letter_arcs() if s == "s1") == ("d",)
     assert not sub.classify().accessible
 
 
@@ -337,7 +349,7 @@ def test_restrict_dead_letter_preserves_executions():
     monoid = TraceMonoid("abcde", [("a", "d"), ("b", "d")])
     action = {(s, a): t for s, a, t in base.letter_arcs()}
     system = ConcurrentSystem(monoid, base.states, action)
-    sub = system.restrict("e")
+    sub = restrict(system, "e")
     for n in range(4):
         full = {nf.word() for nf in enumerate_executions(system, "s0", n).traces}
         restricted = {nf.word() for nf in enumerate_executions(sub, "s0", n).traces}
@@ -345,7 +357,7 @@ def test_restrict_dead_letter_preserves_executions():
 
 
 def test_restrict_aztec_disconnects(aztec):
-    sub = aztec.restrict("c")
+    sub = restrict(aztec, "c")
     cls = sub.classify()
     assert not cls.accessible
     reachable_from_0 = {t for t in sub.states if any(
@@ -355,7 +367,7 @@ def test_restrict_aztec_disconnects(aztec):
 
 
 def test_restrict_never_adds_executions(e1):
-    sub = e1.restrict("d")
+    sub = restrict(e1, "d")
     for n in range(4):
         full = {nf.word() for nf in enumerate_executions(e1, "s0", n).traces}
         restricted = {nf.word() for nf in enumerate_executions(sub, "s0", n).traces}
@@ -389,13 +401,13 @@ def verify_linking_conditions(system, state, word, root):
 
 
 def test_linking_execution_e1(e1):
-    word = e1.find_linking_execution("s0", "a")
+    word = find_linking_execution(e1, "s0", "a")
     assert word is not None
     assert verify_linking_conditions(e1, "s0", word, "a")
 
 
 def test_linking_execution_canonical(canonical_abc):
-    word = canonical_abc.find_linking_execution("*", "c")
+    word = find_linking_execution(canonical_abc, "*", "c")
     assert word is not None
     assert set(word) == set("abc")
 
@@ -405,7 +417,7 @@ def test_linking_equivalence_with_irreducibility(irreducible_fixtures):
         assert system.classify().irreducible
         for s in system.states:
             for a in system.monoid.letters:
-                assert system.find_linking_execution(s, a) is not None
+                assert find_linking_execution(system, s, a) is not None
 
 
 def test_linking_fails_without_aliveness():
@@ -416,13 +428,13 @@ def test_linking_fails_without_aliveness():
     assert system.classify().accessible and not system.classify().alive
     for s in system.states:
         for a in monoid.letters:
-            assert system.find_linking_execution(s, a) is None
+            assert find_linking_execution(system, s, a) is None
 
 
 def test_linking_requires_accessible():
     broken = e1_without(("s1", "c"))
     with pytest.raises(NotAccessible):
-        broken.find_linking_execution("s0", "a")
+        find_linking_execution(broken, "s0", "a")
 
 
 def test_canonical_system(canonical_abc):
@@ -440,4 +452,4 @@ def test_linking_none_for_reducible_monoid():
     assert cls.accessible and cls.alive and not cls.monoid_irreducible
     for s in system.states:
         for a in monoid.letters:
-            assert system.find_linking_execution(s, a) is None
+            assert find_linking_execution(system, s, a) is None
