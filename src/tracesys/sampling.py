@@ -2,7 +2,7 @@
 
 Two samplers: the states-and-cliques chain (infinite-execution prefixes
 under the uniform measure) and an exactly uniform sampler over the
-executions of one length, driven by big-integer path counts so no
+executions of one length, driven by big-integer execution counts so no
 probability is ever represented in floating point.
 """
 
@@ -33,32 +33,49 @@ class SplitMix64:
     """64-bit-state PRNG with streams hashed from (seed, stream id).
 
     The generator is fully specified here so that identical inputs give
-    identical samples on every platform and Python version.
+    identical samples on every platform and Python version.  Each method
+    advances the state and mixes it in its own body, one word at a time,
+    with the steps of :func:`_mix64`.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self._state = _mix64(_mix64(seed) ^ _mix64((stream + 1) * _GOLDEN))
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return z ^ (z >> 31)
 
     def random(self) -> float:
-        """Uniform in [0, 1) with 53 bits."""
-        return (self.next_u64() >> 11) / 9007199254740992.0
+        """Uniform in [0, 1) with 53 bits: the top bits of one word."""
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return ((z ^ (z >> 31)) >> 11) / 9007199254740992.0
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased, for arbitrary-size n."""
+        """Uniform integer in [0, n), unbiased, for arbitrary-size n.
+
+        Each try reads ceil(bits/64) words, most significant first, keeps
+        the top ``n.bit_length()`` bits and is rejected unless below n.
+        """
         if n <= 0:
             raise ValueError("randrange bound must be positive")
         bits = n.bit_length()
         words = (bits + 63) // 64
+        shift = 64 * words - bits
+        state = self._state
         while True:
             x = 0
             for _ in range(words):
-                x = x << 64 | self.next_u64()
-            x >>= 64 * words - bits
+                z = state = (state + _GOLDEN) & _MASK64
+                z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+                x = x << 64 | z ^ (z >> 31)
+            x >>= shift
             if x < n:
+                self._state = state
                 return x
 
 
@@ -77,7 +94,9 @@ def sample_mcsc(
 
     The first node follows the initial law at ``start``; each next node is
     drawn from the transition row of the current node v and is
-    ``dsc.succ[v][k]`` for the drawn index k.  Inverse CDF over each row.
+    ``dsc.succ[v][k]`` for the drawn index k.  Inverse CDF over each row,
+    one ``rng.random()`` per node; each visited row's running sums are
+    formed once per call.
     """
     if steps < 0:
         raise TraceSysError("steps must be non-negative")
@@ -90,20 +109,26 @@ def sample_mcsc(
 
     nodes: list[int] = []
     if steps > 0:
-        v = first + _draw(measure.h[i][1:], rng.random())
+        h = measure.h[i][1:]
+        v = first + _draw(list(accumulate(h)), h, rng.random())
         nodes.append(v)
+        running: dict[int, list[float]] = {}
         for _ in range(steps - 1):
-            v = dsc.succ[v][_draw(measure.transition[v], rng.random())]
+            row = measure.transition[v]
+            cumulative = running.get(v)
+            if cumulative is None:
+                cumulative = running[v] = list(accumulate(row))
+            v = dsc.succ[v][_draw(cumulative, row, rng.random())]
             nodes.append(v)
     chosen = tuple(dsc.nodes[v] for v in nodes)
     trace = tuple(a for _s, c in chosen for a in c.letters)
     return SampledExecution(start=start, nodes=chosen, trace=trace, seed=seed)
 
 
-def _draw(weights, u: float) -> int:
-    """The first index whose running sum of ``weights`` exceeds u.  If the
-    whole sum rounds to at most u, the last index of positive weight."""
-    cumulative = list(accumulate(weights))
+def _draw(cumulative: list[float], weights, u: float) -> int:
+    """The first index whose running sum (``cumulative``, of ``weights``)
+    exceeds u.  If the whole sum rounds to at most u, the last index of
+    positive weight."""
     i = bisect_right(cumulative, u)
     if i == len(cumulative):
         i = max(k for k, w in enumerate(weights) if w > 0)
@@ -113,13 +138,26 @@ def _draw(weights, u: float) -> int:
 class UniformExecutionSampler:
     """Exactly uniform sampler over executions of a fixed length.
 
-    Backward sampling on the augmented-graph path counts: node weights are
-    big integers, draws are unbiased integer draws, no float probabilities.
-    The sampler keeps one table, ``paths[m][v]``: the number of m-letter
-    executions whose first letter is adsc node v.  Its memory is one big
-    integer per (adsc node, length) and nothing per arc.  Each draw walks
-    a candidate list, subtracting weights from a uniform index below their
-    sum.
+    Backward sampling on exact execution counts: weights are big integers,
+    draws are unbiased integer draws, no float probabilities.  The counts
+    come from the Möbius recurrence mu(z)·G(z) = I over the dsc of the held
+    analysis.  With T[m][s] the executions of length m from state s (T[0]
+    = 1, T at negative lengths 0), the executions of length m whose first
+    clique is d, at dsc node u = (s, d), number
+
+        F[m][u] = sum over the e ⊇ d enabled at s of (-1)^(|e|-|d|) T[m-|e|][s·e],
+
+    and T[m][s] is the sum of F[m] over the nodes of s.  The sampler keeps
+    F: one big integer per (dsc node, length), and nothing per arc.
+
+    RNG contract: :meth:`sample` calls ``rng.randrange`` once per letter
+    and nothing else.  The first call, below ``total``, picks the first
+    clique; each clique d entered with M letters left then draws below
+    F[M][u] once per letter, except the last letter of the execution.
+    The draws of its inner letters are discarded, and the draw of its
+    last letter picks the next node among ``dsc.succ[u]``, in order, with
+    weights F[M - |d|].  Each draw walks its candidate list, subtracting
+    weights from the uniform index.
     """
 
     def __init__(self, system: ConcurrentSystem, start: str, length: int):
@@ -128,47 +166,62 @@ class UniformExecutionSampler:
         self.system = system
         self.start = start
         self.length = length
-        system.state_index(start)
-        # held, so that later calls on this system share its dsc and adsc
+        i = system.state_index(start)
+        # held, so that later calls on this system share its dsc
         self._analysis = Analysis.of(system)
-        self._adsc = adsc = self._analysis.adsc
+        self._dsc = self._analysis.dsc
+        moves, n = system.moves, len(system.states)
 
-        paths = [[0] * len(adsc.nodes)]
-        if length >= 1:
-            paths.append([int(c.size == i) for _s, c, i in adsc.nodes])
-        for _ in range(2, length + 1):
-            prev = paths[-1].__getitem__
-            paths.append([sum(map(prev, out)) for out in adsc.succ])
-        self._paths = paths
+        # The counts T[m - k] and -T[m - k] lie at hist[-2n·k + t] and
+        # hist[-2n·k + n + t], so each F[m][u] is one C-level sum over a
+        # fixed list of negative indices into hist.
+        spans = list(accumulate((len(m) - 1 for m in moves), initial=0))
+        terms: list[list[int]] = [[] for _ in range(spans[-1])]
+        for moves_s, first in zip(moves, spans):
+            at = {d.mask: (u, d.size) for u, (d, _t) in enumerate(moves_s[1:], first)}
+            for e, t in moves_s[1:]:
+                sub = e.mask
+                while sub:  # the non-empty submasks d of e, all enabled
+                    u, size = at[sub]
+                    terms[u].append(-2 * n * e.size + (e.size - size) % 2 * n + t)
+                    sub = (sub - 1) & e.mask
+        widest = max(c.size for m in moves for c, _t in m)
+        hist = [0] * (2 * n * (widest - 1)) + [1] * n + [-1] * n
+        get = hist.__getitem__
+        counts = [[0] * len(terms)]
+        for _ in range(length):
+            row = [sum(map(get, idx)) for idx in terms]
+            totals = [sum(row[a:b]) for a, b in zip(spans, spans[1:])]
+            hist.extend(totals)
+            hist.extend([-x for x in totals])
+            counts.append(row)
+        self._counts = counts
 
-        self._start_nodes = [
-            i for i, (s, _c, k) in enumerate(adsc.nodes) if s == start and k == 1
-        ]
-        if length == 0:
-            self.total = 1
-        else:
-            self.total = sum(paths[length][v] for v in self._start_nodes)
+        self._start_nodes = range(spans[i], spans[i + 1])
+        self.total = sum(counts[length][u] for u in self._start_nodes) if length else 1
         if self.total == 0:
             raise EmptySet(length)
 
     def sample(self, rng: SplitMix64) -> tuple[str, ...]:
         """One execution, uniform among all of the configured length."""
-        if self.length == 0:
-            return ()
-        paths, succ = self._paths, self._adsc.succ
         m = self.length
-        v = _pick(self._start_nodes, paths[m], rng.randrange(self.total))
-        word = [self._letter(v)]
-        while m > 1:
-            # v's successors weigh paths[m - 1][w] and sum to paths[m][v]
-            v = _pick(succ[v], paths[m - 1], rng.randrange(paths[m][v]))
-            word.append(self._letter(v))
-            m -= 1
-        return tuple(word)
-
-    def _letter(self, v: int) -> str:
-        _s, c, i = self._adsc.nodes[v]
-        return c.letters[i - 1]
+        if m == 0:
+            return ()
+        counts, succ, nodes = self._counts, self._dsc.succ, self._dsc.nodes
+        randrange = rng.randrange
+        u = _pick(self._start_nodes, counts[m], randrange(self.total))
+        word: list[str] = []
+        while True:
+            letters = nodes[u][1].letters
+            word += letters
+            weight = counts[m][u]
+            for _ in range(len(letters) - 1):
+                randrange(weight)  # an inner letter's draw: its clique is already drawn
+            m -= len(letters)
+            if m == 0:
+                return tuple(word)
+            # u's successors weigh counts[m][w] and sum to weight
+            u = _pick(succ[u], counts[m], randrange(weight))
 
 
 def _pick(candidates, weights: list[int], x: int) -> int:

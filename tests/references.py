@@ -66,6 +66,58 @@ def positive_subgraph(graph: StateCliqueGraph) -> StateCliqueGraph:
     )
 
 
+# ------------------------------------------------------------ execution counts and draws
+
+def paths_by_first_letter(adsc: StateCliqueGraph, length: int) -> list[list[int]]:
+    """paths[m][v]: the m-letter executions whose first letter is adsc node
+    v, counted backward over the arcs; an execution ends where a clique does.
+    The reference for the counts of ``UniformExecutionSampler``."""
+    paths = [[0] * len(adsc.nodes), [int(c.size == i) for _s, c, i in adsc.nodes]]
+    for _ in range(2, length + 1):
+        prev = paths[-1]
+        paths.append([sum(prev[w] for w in out) for out in adsc.succ])
+    return paths
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z &= _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 with one method call per 64-bit word: the reference for
+    the inlined draws of ``tracesys.sampling.SplitMix64``."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        self._state = _mix64(_mix64(seed) ^ _mix64((stream + 1) * _GOLDEN))
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return _mix64(self._state)
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) / 9007199254740992.0
+
+    def randrange(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randrange bound must be positive")
+        bits = n.bit_length()
+        words = (bits + 63) // 64
+        while True:
+            x = 0
+            for _ in range(words):
+                x = x << 64 | self.next_u64()
+            x >>= 64 * words - bits
+            if x < n:
+                return x
+
+
 # ------------------------------------------------------------ linking executions
 
 def find_linking_execution(

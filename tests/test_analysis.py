@@ -123,14 +123,15 @@ def test_analyze_builds_each_quantity_once(monkeypatch):
     assert counts["ConcurrentSystem"] == 0  # no restricted system per letter
 
 
-def test_sampler_reads_the_held_adsc(monkeypatch):
+def test_sampler_reads_the_held_dsc(monkeypatch):
     system = fixtures.aztec_system()
     held = Analysis.of(system)
-    adsc = held.adsc
+    dsc = held.dsc
     counts = _count_calls(monkeypatch, [(graphs, "build_dsc"), (graphs, "build_adsc")])
     sampler = UniformExecutionSampler(system, system.base_state, 20)
     assert counts == {}
-    assert sampler._adsc is adsc
+    assert sampler._dsc is dsc
+    assert "adsc" not in vars(held)  # the sampler unfolds no augmented graph
 
 
 def test_sampler_holds_its_analysis(monkeypatch):
@@ -138,7 +139,7 @@ def test_sampler_holds_its_analysis(monkeypatch):
     counts = _count_calls(monkeypatch, [(graphs, "build_dsc"), (graphs, "build_adsc")])
     sampler = UniformExecutionSampler(system, system.base_state, 20)
     measure = uniform_measure(system)
-    assert counts == {"build_dsc": 1, "build_adsc": 1}
+    assert counts == {"build_dsc": 1}
     assert measure.dsc is sampler._analysis.dsc
 
 

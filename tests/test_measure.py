@@ -7,6 +7,7 @@ import pytest
 from bench_modules import inputs, load_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import paths_by_first_letter
 from test_petri import cycle_nets
 
 from tracesys.analysis import Analysis, uniform_measure, uniqueness_diagnostics
@@ -28,7 +29,7 @@ from tracesys.measure import (
 from tracesys.monoid import TraceMonoid
 from tracesys.petri import parse_petri, petri_to_system
 from tracesys.report import analyze_report
-from tracesys.sampling import SplitMix64
+from tracesys.sampling import SplitMix64, UniformExecutionSampler
 from tracesys.spectral import CharacteristicRoot, basic_flags, mobius_matrix
 from tracesys.system import ConcurrentSystem
 
@@ -184,16 +185,6 @@ LIMIT_SYSTEMS = {
 }
 
 
-def _paths_by_first_letter(adsc, length):
-    """paths[m][v]: the m-letter executions whose first letter is adsc node
-    v, counted backward over the arcs; an execution ends where a clique does."""
-    paths = [[0] * len(adsc.nodes), [int(c.size == i) for _s, c, i in adsc.nodes]]
-    for _ in range(2, length + 1):
-        prev = paths[-1]
-        paths.append([sum(prev[w] for w in out) for out in adsc.succ])
-    return paths
-
-
 @pytest.mark.parametrize("name", sorted(LIMIT_SYSTEMS))
 def test_chain_is_the_limit_of_the_uniform_laws(name):
     # The paper realises the uniform measure as the chain of states and
@@ -204,7 +195,7 @@ def test_chain_is_the_limit_of_the_uniform_laws(name):
     # h at the base and to the chain's rows.
     analysis = Analysis.of(LIMIT_SYSTEMS[name]())
     system, m, L = analysis.system, analysis.measure(), LIMIT_LENGTH
-    paths = _paths_by_first_letter(analysis.adsc, L)
+    paths = paths_by_first_letter(analysis.adsc, L)
     head = {(s, c): k for k, (s, c, i) in enumerate(analysis.adsc.nodes) if i == 1}
     count = [paths[L][head[node]] for node in m.dsc.nodes]
 
@@ -223,6 +214,23 @@ def test_chain_is_the_limit_of_the_uniform_laws(name):
         for w, p in zip(m.dsc.succ[v], m.transition[v]):
             chain_gap = max(chain_gap, abs(paths[L - c.size][head[m.dsc.nodes[w]]] / count[v] - p))
     assert chain_gap <= 1e-10, chain_gap
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_SYSTEMS))
+def test_first_clique_law_gap_decays(name):
+    # The exact law of the first clique under the uniform law at length L is
+    # the sampler's count at each start node over its total.  Its gap to h
+    # at the base does not grow with L, down to the float error of h (about
+    # 1e-13), where some of these systems sit at every length.
+    system = LIMIT_SYSTEMS[name]()
+    h = uniform_measure(system).h[system.state_index(system.base_state)][1:]
+    gaps = []
+    for L in (25, 50, 100, LIMIT_LENGTH):
+        sampler = UniformExecutionSampler(system, system.base_state, L)
+        law = [sampler._counts[L][u] / sampler.total for u in sampler._start_nodes]
+        gaps.append(max(abs(p - x) for p, x in zip(law, h)))
+    assert all(later <= gap for gap, later in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] <= 1e-10, gaps
 
 
 def _reference_tables(system, f, dsc):

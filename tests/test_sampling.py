@@ -1,13 +1,16 @@
 import hashlib
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from bench_modules import inputs, load_system
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from references import empirical_first_clique
+from references import ReferenceSplitMix64, empirical_first_clique, paths_by_first_letter
+from test_measure import LIMIT_SYSTEMS
 from test_petri import cycle_nets
+from test_system import random_systems
 
 from tracesys.analysis import uniform_measure
 from tracesys.cli import main
@@ -43,6 +46,37 @@ def test_splitmix_known_values():
     first = rng.random()
     assert 0.0 <= first < 1.0
     assert rng.randrange(10) in range(10)
+
+
+# bounds around powers of two: just above one, most tries are rejected
+RANDRANGE_BOUNDS = sorted(
+    {1, 2, 2**64 - 1, 2**64, 2**64 + 1}
+    | {2**k + d for k in range(1, 401) for d in (-1, 1)}
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**32))
+def test_inlined_draws_equal_the_reference(seed, stream):
+    rng, ref = SplitMix64(seed, stream), ReferenceSplitMix64(seed, stream)
+    assert rng._state == ref._state
+    for n in RANDRANGE_BOUNDS:
+        assert rng.randrange(n) == ref.randrange(n), n
+        assert rng.next_u64() == ref.next_u64()
+        assert rng.random() == ref.random()
+    assert rng._state == ref._state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**32),
+    bounds=st.lists(st.sampled_from(RANDRANGE_BOUNDS) | st.integers(1, 2**300), max_size=20),
+)
+def test_inlined_randrange_leaves_the_reference_state(seed, stream, bounds):
+    rng, ref = SplitMix64(seed, stream), ReferenceSplitMix64(seed, stream)
+    assert [rng.randrange(n) for n in bounds] == [ref.randrange(n) for n in bounds]
+    assert rng._state == ref._state
 
 
 def test_randrange_big_integers():
@@ -121,13 +155,18 @@ def _dense_mcsc_nodes(measure, start, steps, seed):
     return tuple(dsc.nodes[v] for v in nodes)
 
 
+def _draw_over(weights, u):
+    """``_draw`` over the running sums of ``weights``, as ``sample_mcsc`` forms them."""
+    return _draw(list(accumulate(weights)), weights, u)
+
+
 def test_draw_falls_back_to_the_last_index_that_adds():
     # ten 0.1 sum to 1 - 2**-53, which a draw can reach: the zero after
     # them adds nothing, so the draw takes the last 0.1
-    assert _draw([0.1] * 10 + [0.0], 1 - 2**-53) == 9
+    assert _draw_over([0.1] * 10 + [0.0], 1 - 2**-53) == 9
     assert _dense_draw(np.cumsum([0.1] * 10 + [0.0]), 1 - 2**-53) == 9
     # a running sum equal to u is passed over, zeros and all
-    assert _draw([0.5, 0.0, 0.5], 0.5) == 2
+    assert _draw_over([0.5, 0.0, 0.5], 0.5) == 2
     assert _dense_draw(np.cumsum([0.5, 0.0, 0.5]), 0.5) == 2
 
 
@@ -135,7 +174,7 @@ def test_draw_falls_back_past_a_negative_weight():
     # h at a null node is float noise, possibly negative: the running sum
     # then ends below u although it reached u before, and the fallback
     # must take the last positive weight, not the last that moved the sum
-    assert _draw([0.25] * 4 + [-(2**-40)], 1 - 2**-41) == 3
+    assert _draw_over([0.25] * 4 + [-(2**-40)], 1 - 2**-41) == 3
 
 
 TINY_NEGATIVE = st.floats(-1e-11, -1e-18)
@@ -151,7 +190,7 @@ def test_draw_picks_a_positive_weight(weights, tail, u):
     assume(any(w > 0 for w in weights))
     total = sum(w for w in weights if w > 0)
     weights = [w / total for w in weights + tail]  # the positive ones sum to 1
-    assert weights[_draw(weights, u)] > 0
+    assert weights[_draw_over(weights, u)] > 0
 
 
 def test_mcsc_walks_equal_the_dense_draw(reference_systems):
@@ -295,6 +334,47 @@ def test_uniform_total_equals_path_count(name):
                     UniformExecutionSampler(system, start, length)
             else:
                 assert UniformExecutionSampler(system, start, length).total == want
+
+
+COUNT_LENGTH = 40
+
+
+def _assert_counts_equal_the_adsc_paths(system, length):
+    """For every start and every m <= length: the sampler's counts F[m] equal
+    the adsc path counts at each dsc node's first triple, and its total
+    their sum over the start's nodes; EmptySet exactly where that sum is 0."""
+    adsc = build_adsc(build_dsc(system))
+    paths = paths_by_first_letter(adsc, length)
+    heads = [k for k, (_s, _c, i) in enumerate(adsc.nodes) if i == 1]  # in dsc order
+    want_counts = [[row[k] for k in heads] for row in paths]
+    for start in system.states:
+        firsts = [k for k in heads if adsc.nodes[k][0] == start]
+        for m in range(length + 1):
+            want = sum(paths[m][k] for k in firsts) if m else 1
+            if want == 0:
+                with pytest.raises(EmptySet):
+                    UniformExecutionSampler(system, start, m)
+                continue
+            sampler = UniformExecutionSampler(system, start, m)
+            assert sampler.total == want, (start, m)
+            assert sampler._counts == want_counts[: m + 1], (start, m)
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_SYSTEMS))
+def test_counts_equal_the_adsc_paths(name):
+    _assert_counts_equal_the_adsc_paths(LIMIT_SYSTEMS[name](), COUNT_LENGTH)
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=cycle_nets())
+def test_counts_equal_the_adsc_paths_on_random_cycle_nets(text):
+    _assert_counts_equal_the_adsc_paths(petri_to_system(parse_petri(text)), 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=random_systems())
+def test_counts_equal_the_adsc_paths_on_random_systems(system):
+    _assert_counts_equal_the_adsc_paths(system, 12)
 
 
 def test_sampled_words_replay(aztec):
