@@ -26,10 +26,10 @@ from .spectral import (
     InversionReport,
     PolynomialMatrix,
     SpectralPropertyReport,
-    component_radius,
     determinant,
     mobius_matrix,
     root_from_theta,
+    spectral_radius,
 )
 from .system import ConcurrentSystem
 
@@ -116,7 +116,7 @@ class Analysis:
         """Spectral radius of each SCC of the adsc, in condensation order."""
         succ = self.adsc.succ
         return tuple(
-            component_radius(succ, comp) for comp in self.adsc.condensation().components
+            spectral_radius(succ, comp) for comp in self.adsc.condensation().components
         )
 
     # ------------------------------------------------------------ measure
@@ -149,7 +149,11 @@ def growth_eval(
 ) -> list[list[Fraction]]:
     """Exact M(t)^-1 at a rational t below the root (by default the system's)."""
     analysis = Analysis.of(system)
-    return spectral.growth_eval(analysis.mobius, t, analysis.root() if root is None else root)
+    n = analysis.mobius.dim
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return spectral.growth_eval(
+        analysis.mobius, t, analysis.root() if root is None else root, identity
+    )
 
 
 def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
@@ -176,6 +180,12 @@ def uniform_measure(
 
 
 def uniqueness_diagnostics(measure: UniformMeasure) -> UniquenessReport:
-    """The checks behind uniqueness of ``measure``, on its system's shared adsc."""
+    """The checks behind uniqueness of ``measure``, on its system's shared adsc.
+
+    A fresh analysis unfolds its adsc from ``measure.dsc`` rather than
+    building a second dsc; the measure does not hold its analysis, which
+    would keep it alive through a reference cycle.
+    """
     analysis = Analysis.of(measure.system)
+    vars(analysis).setdefault("dsc", measure.dsc)  # fills the cached property
     return measure_mod.uniqueness_diagnostics(measure, analysis.adsc, analysis.adsc_radii)

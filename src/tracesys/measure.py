@@ -6,8 +6,10 @@ h (law of the first clique, an alternating superset sum of f), g (successor
 mass), and the transition rows of the Markov chain of states-and-cliques.
 f and h hold one row per state, aligned with ``system.moves``; g one value
 per dsc node, and the chain one row per dsc node, aligned with ``dsc.succ``.
-Only the report pads f and h with 0.0 and spreads the chain into a dense
-matrix.  All numerics are double precision on top of the exactly isolated root.
+The chain's dead rows are those of the dsc's null nodes, which graph
+reachability labels exactly.  Only the report pads f and h with 0.0 and
+spreads the chain into a dense matrix.  All numerics are double precision
+on top of the exactly isolated root.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .graphs import StateCliqueGraph, reachable
 from .monoid import Clique
-from .spectral import CharacteristicRoot, PolynomialMatrix, basic_flags, growth_row_sums
+from .spectral import CharacteristicRoot, PolynomialMatrix, basic_flags, growth_eval
 from .system import ConcurrentSystem
 
 ZERO_THRESHOLD = 1e-6  # separates exact zeros of h from genuine positive mass
@@ -93,7 +95,7 @@ def kernel_cocycle(
         raise NonPositiveKernelVector(f"kernel vector has non-positive entries: {u}")
 
     t = mid * (1 - Fraction(1, 10**6))
-    row_sums = [float(v) for v in growth_row_sums(pm, t, root)]
+    row_sums = [float(v) for (v,) in growth_eval(pm, t, root, [[1]] * pm.dim)]
     err = 0.0
     for i in range(len(system.states)):
         for j in range(len(system.states)):
@@ -146,28 +148,25 @@ def _at_nodes(rows: Rows) -> list[float]:
     return [x for row in rows for x in row[1:]]
 
 
-def mcsc_tables(
-    h: Rows,
-    dsc: StateCliqueGraph,
-) -> tuple[tuple[float, ...], Rows, tuple[bool, ...]]:
+def mcsc_tables(h: Rows, dsc: StateCliqueGraph) -> tuple[tuple[float, ...], Rows]:
     """Successor mass and transition rows of the chain.
 
     One pass over the arcs of the plain graph: g_a(c) is the sum of h at
     the successors of (a, c), in ``succ`` order, and the transition row of
-    (a, c) is those h values divided by g, aligned with ``dsc.succ``.  Rows
-    whose g is at most ZERO_THRESHOLD are flagged unreachable and keep the
-    unnormalized successor weights.  Returns (g, transition, unreachable),
-    each with one entry per dsc node.
+    (a, c) is those h values divided by g, aligned with ``dsc.succ``.  The
+    chain lives on the positive nodes (``dsc.labels``): only their rows are
+    normalized, and the rows of null nodes, where g vanishes, keep the
+    unnormalized successor weights.  Returns (g, transition), each with one
+    entry per dsc node.
     """
     hv = _at_nodes(h)
     rows = [tuple(hv[w] for w in out) for out in dsc.succ]
     g = tuple(map(sum, rows))
-    unreachable = tuple(gv <= ZERO_THRESHOLD for gv in g)
     transition = tuple(
-        row if dead else tuple(x / gv for x in row)
-        for row, gv, dead in zip(rows, g, unreachable)
+        tuple(x / gv for x in row) if positive else row
+        for row, gv, positive in zip(rows, g, dsc.labels)
     )
-    return g, transition, unreachable
+    return g, transition
 
 
 # ---------------------------------------------------------------- measure object
@@ -177,7 +176,8 @@ class UniformMeasure:
     """The measure and its tables, laid out like the graphs: ``f[i][k]`` and
     ``h[i][k]`` belong to the k-th pair of ``system.moves[i]`` (k = 0 is the
     empty clique), ``g[v]`` to dsc node v, and ``transition[v][k]`` to the
-    arc from v to ``dsc.succ[v][k]``."""
+    arc from v to ``dsc.succ[v][k]``.  The row of v is a probability vector
+    exactly when ``dsc.labels[v]`` is positive."""
 
     system: ConcurrentSystem
     root: CharacteristicRoot
@@ -187,7 +187,6 @@ class UniformMeasure:
     h: Rows
     g: tuple[float, ...]
     transition: Rows
-    unreachable: tuple[bool, ...]
     cocycle_crosscheck_error: float
 
     @property
@@ -223,7 +222,7 @@ def uniform_measure(
     u, err = kernel_cocycle(system, pm, root)
     f = fibred_valuation(system, root, u)
     h = mobius_transform(system, f)
-    g, transition, unreachable = mcsc_tables(h, dsc)
+    g, transition = mcsc_tables(h, dsc)
     return UniformMeasure(
         system=system,
         root=root,
@@ -233,7 +232,6 @@ def uniform_measure(
         h=h,
         g=g,
         transition=transition,
-        unreachable=unreachable,
         cocycle_crosscheck_error=err,
     )
 

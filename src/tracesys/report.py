@@ -144,7 +144,7 @@ def analyze_report(
         for v, (out, row) in enumerate(zip(m.dsc.succ, m.transition)):
             chain[v, list(out)] = row
         # numpy's sum of each whole dense row, as v1 reports it
-        row_sum = max([0.0] + [abs(r.sum() - 1.0) for r, x in zip(chain, m.unreachable) if not x])
+        row_sum = max([0.0] + [abs(r.sum() - 1.0) for r, pos in zip(chain, m.dsc.labels) if pos])
         doc["uniform_measure"] = {
             "gamma": {
                 "base": system.base_state,
@@ -160,7 +160,7 @@ def analyze_report(
                     for s, moves, row in zip(system.states, system.moves, m.h)
                 },
                 "matrix": chain.tolist(),
-                "unreachable": [bool(b) for b in m.unreachable],
+                "unreachable": [not pos for pos in m.dsc.labels],
             },
             "cocycle_crosscheck_error": m.cocycle_crosscheck_error,
             "identity_residuals": {

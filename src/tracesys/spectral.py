@@ -19,7 +19,7 @@ import numpy as np
 
 from . import poly
 from .errors import AmbiguousBasic, NonConvergence, SingularAtT, TraceSysError
-from .graphs import Adjacency, tarjan_sccs
+from .graphs import Adjacency
 from .system import ConcurrentSystem
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
@@ -264,26 +264,15 @@ def _refine_step(
 # ---------------------------------------------------------------- growth matrix
 
 def growth_eval(
-    pm: PolynomialMatrix, t: Fraction | int, root: CharacteristicRoot
-) -> list[list[Fraction]]:
-    """Growth matrix M(t)^-1 at a rational point below the root: exact inverse."""
-    n = pm.dim
-    return _growth_solve(pm, t, root, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def growth_row_sums(
-    pm: PolynomialMatrix, t: Fraction | int, root: CharacteristicRoot
-) -> list[Fraction]:
-    """Row sums of :func:`growth_eval`, from the one column B = 1."""
-    return [v for (v,) in _growth_solve(pm, t, root, [[1]] * pm.dim)]
-
-
-def _growth_solve(
     pm: PolynomialMatrix, t: Fraction | int, root: CharacteristicRoot, b: list
 ) -> list[list[Fraction]]:
-    """M(t)^-1·B exactly, as X / det for q^D·M(t)·X = det·q^D·B, where
-    t = p/q and D is the largest entry degree.  M(t) is invertible below
-    the root: theta(0) = 1 and theta has no root in (0, root)."""
+    """M(t)^-1·B exactly at a rational point below the root: with B the
+    identity, the growth matrix; with B the ones column, its row sums.
+
+    The solve is X / det for q^D·M(t)·X = det·q^D·B, where t = p/q and D is
+    the largest entry degree.  M(t) is invertible below the root:
+    theta(0) = 1 and theta has no root in (0, root).
+    """
     t = Fraction(t)
     if t < 0:
         raise TraceSysError("evaluation point must be non-negative")
@@ -344,27 +333,22 @@ def verify_inversion(
 
 # ---------------------------------------------------------------- spectral radii
 
-def spectral_radius(succ: Adjacency) -> float:
-    """Largest eigenvalue modulus of the adjacency matrix.
-
-    The radius of a digraph is the maximum over its strongly connected
-    components (the adjacency is block triangular), and on a single
-    component the shifted matrix (F + Id) is primitive, so power iteration
-    from the all-ones vector converges geometrically.  Iterating on the
-    whole graph instead can stall: a reducible matrix may be defective at
-    its dominant eigenvalue.  Acyclic graphs short-circuit to 0.
-    """
-    return max_radius(component_radius(succ, comp) for comp in tarjan_sccs(succ))
-
-
 def max_radius(radii: Iterable[float]) -> float:
     """Radius of a digraph from the radii of its components (0 if acyclic)."""
     return max((0.0, *radii))
 
 
-def component_radius(succ: Adjacency, comp: Sequence[int]) -> float:
-    """Spectral radius of the subgraph induced on one strongly connected
-    component, given by its sorted node indices; 0 for a loopless singleton."""
+def spectral_radius(succ: Adjacency, comp: Sequence[int]) -> float:
+    """Largest eigenvalue modulus of the subgraph induced on one strongly
+    connected component, given by its sorted node indices; 0 for a loopless
+    singleton.
+
+    The radius of a digraph is the :func:`max_radius` of its components'
+    (the adjacency is block triangular).  On one component the shifted
+    matrix (F + Id) is primitive, so power iteration converges
+    geometrically; on a whole reducible graph it can stall, since the
+    matrix may be defective at its dominant eigenvalue.
+    """
     if len(comp) == 1 and comp[0] not in succ[comp[0]]:
         return 0.0
     remap = {v: i for i, v in enumerate(comp)}

@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 from tracesys import poly
 from tracesys.errors import NotAccessible, TraceSysError
-from tracesys.graphs import StateCliqueGraph
+from tracesys.graphs import Adjacency, StateCliqueGraph, tarjan_sccs
 from tracesys.measure import UniformMeasure
 from tracesys.monoid import Clique, TraceMonoid
 from tracesys.sampling import SplitMix64, UniformExecutionSampler
+from tracesys.spectral import max_radius, spectral_radius
 from tracesys.system import ConcurrentSystem
 
 
@@ -64,6 +65,13 @@ def positive_subgraph(graph: StateCliqueGraph) -> StateCliqueGraph:
         succ=succ,
         labels=(True,) * len(keep),
     )
+
+
+def graph_radius(succ: Adjacency) -> float:
+    """Spectral radius of a whole digraph: the largest radius of its
+    strongly connected components, found by Tarjan's algorithm rather
+    than the condensation the library reads its radii from."""
+    return max_radius(spectral_radius(succ, c) for c in tarjan_sccs(succ))
 
 
 # ------------------------------------------------------------ execution counts and draws

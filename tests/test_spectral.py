@@ -7,7 +7,7 @@ import pytest
 from bench_modules import inputs, load_system
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from references import mul, positive_subgraph, restrict
+from references import graph_radius, mul, positive_subgraph, restrict
 
 from tracesys import poly, spectral
 from tracesys.analysis import (
@@ -36,10 +36,8 @@ from tracesys.spectral import (
     compare_roots,
     determinant,
     fraction_free_solve,
-    growth_row_sums,
     mobius_matrix,
     root_from_theta,
-    spectral_radius,
 )
 from tracesys.system import ConcurrentSystem
 
@@ -465,8 +463,9 @@ def test_growth_eval_matches_rational_inverse(reference_systems):
         t = root.midpoint * (1 - Fraction(1, 10**6))
         want = _invert_fraction_matrix(mobius_matrix(system).evaluate(t))
         assert growth_eval(system, t, root) == want, name
-        row_sums = growth_row_sums(mobius_matrix(system), t, root)
-        assert row_sums == [sum(row) for row in want], name
+        pm = mobius_matrix(system)
+        row_sums = spectral.growth_eval(pm, t, root, [[1]] * pm.dim)
+        assert row_sums == [[sum(row)] for row in want], name
 
 
 # ------------------------------------------------------------ inversion identity
@@ -554,27 +553,27 @@ def test_verify_inversion_fails_on_a_wrong_count(reference_systems, name, m, ori
 # ------------------------------------------------------------ spectral radii
 
 def test_spectral_radius_e1(e1):
-    rho = spectral_radius(build_adsc(build_dsc(e1)).succ)
+    rho = graph_radius(build_adsc(build_dsc(e1)).succ)
     assert abs(rho - 2.0) < 1e-6
 
 
 def test_spectral_radius_acyclic():
-    assert spectral_radius(((1,), (2,), ())) == 0.0
-    assert spectral_radius(()) == 0.0
+    assert graph_radius(((1,), (2,), ())) == 0.0
+    assert graph_radius(()) == 0.0
 
 
 def test_spectral_radius_matches_root(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         root = characteristic_root(system)
-        rho = spectral_radius(build_adsc(build_dsc(system)).succ)
+        rho = graph_radius(build_adsc(build_dsc(system)).succ)
         assert abs(1 / rho - root.approx) < 1e-6, name
 
 
 def test_positive_part_same_radius(irreducible_fixtures):
     for name, system in irreducible_fixtures.items():
         adsc = build_adsc(build_dsc(system))
-        rho_all = spectral_radius(adsc.succ)
-        rho_pos = spectral_radius(positive_subgraph(adsc).succ)
+        rho_all = graph_radius(adsc.succ)
+        rho_pos = graph_radius(positive_subgraph(adsc).succ)
         assert abs(rho_all - rho_pos) < 1e-6, name
 
 
