@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 analysis-level failure (an expectation or a
 cross-check did not hold) or a reader that closed stdout early, 2 input
-errors (unreadable, unparsable or invalid input files, or an
-``export-dot -o`` path that cannot be written).
+errors (unreadable, unparsable or invalid input files, an
+``export-dot -o`` path that cannot be written, or a ``--length`` whose
+uniform count table would pass ``sampling.TABLE_CAP_BYTES``).
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import dot as dot_mod
 from . import report as report_mod
 from . import sampling
 from .analysis import Analysis, uniform_measure
-from .errors import TraceSysError
+from .errors import CapExceeded, TraceSysError
 from .oracle import DEFAULT_CAP
 from .petri import parse_petri, petri_to_system
 from .specfile import parse_system
@@ -117,7 +119,9 @@ def _format_into(obj: object, newline: str, parts: list[str]) -> None:
         parts += ("[", inner, text[1:-1], newline, "]")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="tracesys",
         description="Analyze trace-theoretic concurrent systems.",
@@ -256,7 +260,11 @@ def _cmd_sample(system: ConcurrentSystem, args) -> int:
             out.append(s.trace)
     else:
         length = 10 if args.length is None else args.length
-        sampler = sampling.UniformExecutionSampler(system, start, length)
+        try:
+            sampler = sampling.UniformExecutionSampler(system, start, length)
+        except CapExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         for k in range(args.count):
             rng = sampling.SplitMix64(args.seed, stream=k)
             out.append(sampler.sample(rng))

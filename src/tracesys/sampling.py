@@ -8,18 +8,28 @@ probability is ever represented in floating point.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .analysis import Analysis
-from .errors import EmptySet, TraceSysError
+from .errors import CapExceeded, EmptySet, TraceSysError
 from .measure import UniformMeasure
 from .monoid import Clique
 from .system import ConcurrentSystem
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIN_BLOCK, _MAX_BLOCK = 8, 1024  # words per block, powers of two
+_unpack_u64 = struct.Struct(">Q").unpack_from  # one big-endian word
+
+# The most bytes a uniform sampler's count table may hold.
+TABLE_CAP_BYTES = 256 << 20
+# Bytes of one held count besides its 30-bit digits after the first: a
+# list slot, the int header, the first digit and the allocator's rounding.
+_ENTRY_BYTES = 56
 
 
 def _mix64(z: int) -> int:
@@ -29,30 +39,85 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@cache
+def _lanes(k: int) -> tuple[int, int, int]:
+    """ONES, γ·INDEX and MASK of k 128-bit lanes, the first lane most
+    significant: 1, j·γ and 2⁶⁴ − 1 in the j-th lane.  Block sizes are
+    powers of two, so at most eight sizes are ever cached."""
+    ones = int.from_bytes((bytes(15) + b"\1") * k, "big")
+    index = int.from_bytes(b"".join(j.to_bytes(16, "big") for j in range(1, k + 1)), "big")
+    return ones, _GOLDEN * index, _MASK64 * ones
+
+
+def _block(base: int, k: int) -> bytes:
+    """Words mix(base + j·γ mod 2⁶⁴) for j = 1..k as 8-byte big-endian
+    bytes, in order, mixed at once on one integer of k 128-bit lanes.
+
+    Each lane holds a value below 2⁶⁴ before each step: the mask clears
+    the bits a right shift pulls in from the next lane, and a 64×64-bit
+    product fits in its 128-bit lane, so no lane carries into another.
+    The last shift's spill stays in the high halves, which are dropped.
+    """
+    ones, steps, mask = _lanes(k)
+    z = (base * ones + steps) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z ^= z >> 31
+    # the low half of each 16-byte lane, copied byte for byte
+    return memoryview(z.to_bytes(16 * k, "big")).cast("Q")[1::2].tobytes()
+
+
 class SplitMix64:
     """64-bit-state PRNG with streams hashed from (seed, stream id).
 
     The generator is fully specified here so that identical inputs give
-    identical samples on every platform and Python version.  Each method
-    advances the state and mixes it in its own body, one word at a time,
-    with the steps of :func:`_mix64`.
+    identical samples on every platform and Python version.  The stream
+    is a counter: its k-th word is mix(origin + k·γ mod 2⁶⁴) with the
+    steps of :func:`_mix64`, so words are mixed a block at a time
+    (:func:`_block`) and handed out in order from a byte buffer.  Every
+    word, and so every sample, is the one the word-at-a-time generator
+    gives.  Blocks double from 8 to 1,024 words per refill; the unread
+    tail of a block is carried into the next, so one draw may span two.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self._state = _mix64(_mix64(seed) ^ _mix64((stream + 1) * _GOLDEN))
+        # the counter of the buffer's last word: the origin before the first block
+        self._end = _mix64(_mix64(seed) ^ _mix64((stream + 1) * _GOLDEN))
+        self._buf = b""
+        self._pos = self._stop = 0  # the next unread byte and the buffer's length
+        self._size = _MIN_BLOCK
+
+    @property
+    def _state(self) -> int:
+        """The counter of the last word handed out: origin + words·γ mod 2⁶⁴."""
+        return (self._end - (self._stop - self._pos) // 8 * _GOLDEN) & _MASK64
+
+    def _refill(self, need: int) -> None:
+        """Carry the unread tail and append blocks until ``need`` bytes are unread."""
+        buf = self._buf[self._pos :]
+        while len(buf) < need:
+            k = self._size
+            buf += _block(self._end, k)
+            self._end = (self._end + k * _GOLDEN) & _MASK64
+            self._size = min(2 * k, _MAX_BLOCK)
+        self._buf, self._pos, self._stop = buf, 0, len(buf)
 
     def next_u64(self) -> int:
-        z = self._state = (self._state + _GOLDEN) & _MASK64
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-        return z ^ (z >> 31)
+        p = self._pos
+        if p + 8 > self._stop:
+            self._refill(8)
+            p = 0
+        self._pos = p + 8
+        return _unpack_u64(self._buf, p)[0]
 
     def random(self) -> float:
         """Uniform in [0, 1) with 53 bits: the top bits of one word."""
-        z = self._state = (self._state + _GOLDEN) & _MASK64
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-        return ((z ^ (z >> 31)) >> 11) / 9007199254740992.0
+        p = self._pos
+        if p + 8 > self._stop:
+            self._refill(8)
+            p = 0
+        self._pos = p + 8
+        return (_unpack_u64(self._buf, p)[0] >> 11) / 9007199254740992.0
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased, for arbitrary-size n.
@@ -63,19 +128,17 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("randrange bound must be positive")
         bits = n.bit_length()
-        words = (bits + 63) // 64
-        shift = 64 * words - bits
-        state = self._state
+        size = (bits + 63) // 64 * 8
+        shift = 8 * size - bits
         while True:
-            x = 0
-            for _ in range(words):
-                z = state = (state + _GOLDEN) & _MASK64
-                z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-                x = x << 64 | z ^ (z >> 31)
-            x >>= shift
+            p = self._pos
+            q = p + size
+            if q > self._stop:
+                self._refill(size)
+                p, q = 0, size
+            self._pos = q
+            x = int.from_bytes(self._buf[p:q], "big") >> shift
             if x < n:
-                self._state = state
                 return x
 
 
@@ -158,6 +221,10 @@ class UniformExecutionSampler:
     last letter picks the next node among ``dsc.succ[u]``, in order, with
     weights F[M - |d|].  Each draw walks its candidate list, subtracting
     weights from the uniform index.
+
+    F grows as L² in bytes.  The build keeps a running upper bound on the
+    bytes F and the totals hold (``held_bytes``) and raises
+    :class:`CapExceeded` once it passes ``TABLE_CAP_BYTES``.
     """
 
     def __init__(self, system: ConcurrentSystem, start: str, length: int):
@@ -189,13 +256,23 @@ class UniformExecutionSampler:
         hist = [0] * (2 * n * (widest - 1)) + [1] * n + [-1] * n
         get = hist.__getitem__
         counts = [[0] * len(terms)]
-        for _ in range(length):
+        # An upper bound on the bytes that counts and hist hold: every
+        # entry of a length is at most that length's largest total.
+        entries, held = len(terms) + 2 * n, 0
+        for m in range(1, length + 1):
             row = [sum(map(get, idx)) for idx in terms]
             totals = [sum(row[a:b]) for a, b in zip(spans, spans[1:])]
+            held += entries * (_ENTRY_BYTES + 4 * (max(totals).bit_length() // 30))
+            if held > TABLE_CAP_BYTES:
+                raise CapExceeded(
+                    f"the uniform sampler's count table passes the "
+                    f"{TABLE_CAP_BYTES / 2**20:g} MiB cap at length {m} of {length}"
+                )
             hist.extend(totals)
             hist.extend([-x for x in totals])
             counts.append(row)
         self._counts = counts
+        self.held_bytes = held
 
         self._start_nodes = range(spans[i], spans[i + 1])
         self.total = sum(counts[length][u] for u in self._start_nodes) if length else 1

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import tracesys
 from tracesys import report as report_mod
-from tracesys.cli import format_json, main
+from tracesys import sampling
+from tracesys.cli import build_parser, format_json, main
 from tracesys.fixtures import ALL_SYSTEMS, aztec_system, two_state_system
 from tracesys.specfile import render_system
 
@@ -349,3 +350,50 @@ def test_format_json_on_every_reference_report(reference_systems):
 def test_format_json_refuses_non_str_keys(obj):
     with pytest.raises(TypeError):
         format_json(obj)
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    """``python -m tracesys argv`` in a new interpreter: exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tracesys.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tracesys", *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_calls_as_fresh_processes_would(aztec_file, capsys):
+    # the second sample call leaves every option at its default, so no
+    # value of the first call may linger in the shared parser
+    calls = [
+        ["sample", aztec_file, "--mode", "uniform", "--length", "12", "--count", "3",
+         "--seed", "5", "--start", "1", "--json"],
+        ["sample", aztec_file],
+        ["check", aztec_file, "--json"],
+        ["sample", aztec_file, "--bogus"],
+    ]
+    assert build_parser() is build_parser()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv), argv
+    assert code == 2 and "unrecognized arguments: --bogus" in captured.err
+
+
+def test_sample_length_over_the_table_cap_is_input_error(tmp_path, monkeypatch, capsys):
+    f = inputs.path_file(10)
+    path = tmp_path / f.filename
+    path.write_text(f.text)
+    monkeypatch.setattr(sampling, "TABLE_CAP_BYTES", 1 << 16)
+    assert main(["sample", str(path), "--mode", "uniform", "--length", "3", "--json"]) == 0
+    capsys.readouterr()
+    assert main(["sample", str(path), "--mode", "uniform", "--length", "400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: the uniform sampler's count table passes the 0.0625 MiB cap at length "
+    )
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

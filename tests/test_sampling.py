@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 
@@ -7,14 +8,21 @@ import pytest
 from bench_modules import inputs, load_system
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from references import ReferenceSplitMix64, empirical_first_clique, paths_by_first_letter
+from references import (
+    _GOLDEN,
+    ReferenceSplitMix64,
+    _mix64,
+    empirical_first_clique,
+    paths_by_first_letter,
+)
 from test_measure import LIMIT_SYSTEMS
 from test_petri import cycle_nets
 from test_system import random_systems
 
+from tracesys import sampling
 from tracesys.analysis import uniform_measure
 from tracesys.cli import main
-from tracesys.errors import EmptySet, TraceSysError
+from tracesys.errors import CapExceeded, EmptySet, TraceSysError
 from tracesys.fixtures import ALL_SYSTEMS
 from tracesys.graphs import build_adsc, build_dsc, count_paths_table
 from tracesys.monoid import TraceMonoid
@@ -77,6 +85,71 @@ def test_inlined_randrange_leaves_the_reference_state(seed, stream, bounds):
     rng, ref = SplitMix64(seed, stream), ReferenceSplitMix64(seed, stream)
     assert [rng.randrange(n) for n in bounds] == [ref.randrange(n) for n in bounds]
     assert rng._state == ref._state
+
+
+@pytest.mark.parametrize("k", [8, 16, 64, 1024])
+@pytest.mark.parametrize("base", [0, 1, 2**63, 2**64 - 1, 2**64 - _GOLDEN, 0x0123456789ABCDEF])
+def test_block_mixes_each_lane_as_the_scalar_mix(base, k):
+    # counters that wrap past 2⁶⁴ inside the block must not carry across lanes
+    words = [_mix64(base + j * _GOLDEN) for j in range(1, k + 1)]
+    assert sampling._block(base, k) == b"".join(w.to_bytes(8, "big") for w in words)
+
+
+def _bound_of(words: int, frac: int) -> int:
+    """A randrange bound that needs ``words`` words per try."""
+    return (1 << 64 * (words - 1)) + frac % ((1 << 64 * words) - (1 << 64 * (words - 1)))
+
+
+DRAWS = st.one_of(
+    st.just(("next_u64",)),
+    st.just(("random",)),
+    st.tuples(st.just("randrange"), st.integers(1, 7), st.integers(0, 2**448)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**32),
+    pattern=st.lists(DRAWS, min_size=1, max_size=30),
+)
+def test_block_draws_equal_the_reference_after_every_call(seed, stream, pattern):
+    # the pattern repeats until 4,000 words are read: past several refills
+    # and past the 1,024-word ceiling of the block size
+    rng, ref = SplitMix64(seed, stream), ReferenceSplitMix64(seed, stream)
+    read = 0  # at least the words read so far
+    while read < 4000:
+        for draw in pattern:
+            if draw[0] == "randrange":
+                n = _bound_of(draw[1], draw[2])
+                x, want = rng.randrange(n), ref.randrange(n)
+                read += draw[1]
+            else:
+                x, want = getattr(rng, draw[0])(), getattr(ref, draw[0])()
+                read += 1
+            assert x == want, draw
+            assert rng._state == ref._state, draw
+    assert rng._size == sampling._MAX_BLOCK
+
+
+def test_lane_cache_holds_at_most_eight_sizes():
+    rng, ref = SplitMix64(11), ReferenceSplitMix64(11)
+    for words in [1, 2, 3, 5, 7, 9, 13, 17, 31, 33, 65, 100, 129, 257, 300, 513, 1000, 1025, 2100]:
+        n = (1 << 64 * words) - 1
+        assert rng.randrange(n) == ref.randrange(n)
+    assert rng._state == ref._state
+    assert sampling._lanes.cache_info().currsize <= 8
+
+
+def test_a_draw_spanning_a_refill_reads_the_reference_words():
+    rng, ref = SplitMix64(3, 9), ReferenceSplitMix64(3, 9)
+    for _ in range(6):
+        assert rng.next_u64() == ref.next_u64()
+    n = (1 << 320) - 1  # five words, with two left in the first block
+    assert rng._stop - rng._pos == 16
+    assert rng.randrange(n) == ref.randrange(n)
+    assert rng._state == ref._state
+    assert rng.random() == ref.random()
 
 
 def test_randrange_big_integers():
@@ -319,6 +392,31 @@ def test_uniform_finite_exactness_4sigma(e1):
         sigma = (samples * p * (1 - p)) ** 0.5
         for trace, got in counts.items():
             assert abs(got - samples * p) <= 4 * sigma, (n, trace)
+
+
+def test_table_bound_covers_the_held_table():
+    # path10 at L = 400 holds about 5 MB of counts; the running bound the
+    # cap is checked against must not fall below what tracemalloc measures
+    system = load_system(inputs.path_file(10))
+    UniformExecutionSampler(system, system.base_state, 1)  # the dsc and its lazy parts
+    tracemalloc.start()
+    try:
+        sampler = UniformExecutionSampler(system, system.base_state, 400)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > 4 << 20
+    assert sampler.held_bytes >= held
+
+
+def test_table_over_the_cap_is_refused(monkeypatch):
+    system = load_system(inputs.path_file(10))
+    small = UniformExecutionSampler(system, system.base_state, 40)
+    monkeypatch.setattr(sampling, "TABLE_CAP_BYTES", small.held_bytes)
+    again = UniformExecutionSampler(system, system.base_state, 40)
+    assert again._counts == small._counts
+    with pytest.raises(CapExceeded, match="at length 41 of 1000"):
+        UniformExecutionSampler(system, system.base_state, 1000)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SYSTEMS))
