@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -177,7 +179,9 @@ class UniformMeasure:
     ``h[i][k]`` belong to the k-th pair of ``system.moves[i]`` (k = 0 is the
     empty clique), ``g[v]`` to dsc node v, and ``transition[v][k]`` to the
     arc from v to ``dsc.succ[v][k]``.  The row of v is a probability vector
-    exactly when ``dsc.labels[v]`` is positive."""
+    exactly when ``dsc.labels[v]`` is positive.  The chain walk's running
+    sums (:attr:`running_sums`) are filled on the first walk and held with
+    the measure."""
 
     system: ConcurrentSystem
     root: CharacteristicRoot
@@ -188,6 +192,17 @@ class UniformMeasure:
     g: tuple[float, ...]
     transition: Rows
     cocycle_crosscheck_error: float
+
+    @cached_property
+    def running_sums(self) -> tuple[Rows, Rows]:
+        """The running sums of each state's first-clique law (``h[i][1:]``)
+        and of each transition row, as Python floats.  ``accumulate`` adds
+        left to right on every Python, so each sum has the bits of the
+        float additions in row order."""
+        return (
+            tuple(tuple(map(float, accumulate(row[1:]))) for row in self.h),
+            tuple(tuple(map(float, accumulate(row))) for row in self.transition),
+        )
 
     @property
     def r(self) -> float:

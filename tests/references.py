@@ -87,6 +87,43 @@ def paths_by_first_letter(adsc: StateCliqueGraph, length: int) -> list[list[int]
     return paths
 
 
+def count_terms(system: ConcurrentSystem) -> list[list[int]]:
+    """terms[u]: the signed positions in the ±T history that F[m][u] sums,
+    per dsc node u, as ``UniformExecutionSampler`` lays out that history."""
+    n = len(system.states)
+    terms: list[list[int]] = []
+    for moves in system.moves:
+        first = len(terms)
+        at = {d.mask: (u, d.size) for u, (d, _t) in enumerate(moves[1:], first)}
+        terms += [[] for _ in moves[1:]]
+        for e, t in moves[1:]:
+            sub = e.mask
+            while sub:  # the non-empty submasks d of e, all enabled
+                u, size = at[sub]
+                terms[u].append(-2 * n * e.size + (e.size - size) % 2 * n + t)
+                sub = (sub - 1) & e.mask
+    return terms
+
+
+def per_node_counts(system: ConcurrentSystem, length: int) -> list[list[int]]:
+    """counts[m][u] for m <= length, one sum per dsc node and length: the
+    build of ``UniformExecutionSampler`` before nodes with equal terms
+    shared one sum."""
+    n, terms = len(system.states), count_terms(system)
+    spans = [0]
+    for moves in system.moves:
+        spans.append(spans[-1] + len(moves) - 1)
+    widest = max(c.size for m in system.moves for c, _t in m)
+    hist = [0] * (2 * n * (widest - 1)) + [1] * n + [-1] * n
+    counts = [[0] * len(terms)]
+    for _ in range(length):
+        row = [sum(hist[k] for k in idx) for idx in terms]
+        totals = [sum(row[a:b]) for a, b in zip(spans, spans[1:])]
+        hist += totals + [-x for x in totals]
+        counts.append(row)
+    return counts
+
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

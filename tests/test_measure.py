@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -139,6 +141,18 @@ def test_g_table_e1(e1_measure):
     assert abs(g[("s0", "a")] - 0.5) <= TOL
     assert abs(g[("s0", "d")]) <= TOL  # only successor is itself, h = 0
     assert abs(g[("s0", "ad")] - 1.0) <= TOL
+
+
+@pytest.mark.parametrize("file", [inputs.phil_file(5), inputs.path_file(8)], ids=lambda f: f.name)
+def test_g_adds_the_successor_masses_left_to_right(file):
+    # From Python 3.12 the builtin sum of Python floats is compensated, so
+    # tables held as Python floats and summed by it would change bits there;
+    # g must stay the plain left-to-right sum of h over ``succ``.
+    m = uniform_measure(load_system(file))
+    hv = [float(x) for row in m.h for x in row[1:]]  # h at the dsc nodes
+    for v, out in enumerate(m.dsc.succ):
+        want = functools.reduce(operator.add, (hv[w] for w in out), 0.0)
+        assert float(m.g[v]).hex() == want.hex(), v
 
 
 def test_mcsc_matrix_e1(e1_measure):

@@ -12,8 +12,10 @@ from references import (
     _GOLDEN,
     ReferenceSplitMix64,
     _mix64,
+    count_terms,
     empirical_first_clique,
     paths_by_first_letter,
+    per_node_counts,
 )
 from test_measure import LIMIT_SYSTEMS
 from test_petri import cycle_nets
@@ -152,6 +154,36 @@ def test_a_draw_spanning_a_refill_reads_the_reference_words():
     assert rng.random() == ref.random()
 
 
+RANDOMS_SIZES = [1, 7, 60, 1024, 1025, 3000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**32),
+    pattern=st.lists(
+        DRAWS | st.tuples(st.just("randoms"), st.sampled_from(RANDOMS_SIZES)),
+        min_size=1, max_size=12,
+    ),
+)
+def test_bulk_randoms_equal_the_reference_after_every_call(seed, stream, pattern):
+    # k floats read in chunks of at most 1,024 words, interleaved with the
+    # single draws: the values and the state of k reference random() calls
+    rng, ref = SplitMix64(seed, stream), ReferenceSplitMix64(seed, stream)
+    for draw in pattern + [("randoms", k) for k in RANDOMS_SIZES]:
+        if draw[0] == "randoms":
+            x, want = rng.randoms(draw[1]), [ref.random() for _ in range(draw[1])]
+        elif draw[0] == "randrange":
+            n = _bound_of(draw[1], draw[2])
+            x, want = rng.randrange(n), ref.randrange(n)
+        else:
+            x, want = getattr(rng, draw[0])(), getattr(ref, draw[0])()
+        assert x == want, draw
+        assert rng._state == ref._state, draw
+    # blocks sized to a request stay powers of two from 8 to 1,024 words
+    assert sampling._lanes.cache_info().currsize <= 8
+
+
 def test_randrange_big_integers():
     rng = SplitMix64(7)
     n = 10**40
@@ -216,7 +248,7 @@ def _dense_mcsc_nodes(measure, start, steps, seed):
         chain[v, list(out)] = row
     cum_rows = np.cumsum(chain, axis=1)
     i = system.state_index(start)
-    rng = SplitMix64(seed)
+    rng = ReferenceSplitMix64(seed)
     nodes = []
     if steps > 0:
         v = sum(len(m) - 1 for m in system.moves[:i])
@@ -264,6 +296,34 @@ def test_draw_picks_a_positive_weight(weights, tail, u):
     total = sum(w for w in weights if w > 0)
     weights = [w / total for w in weights + tail]  # the positive ones sum to 1
     assert weights[_draw_over(weights, u)] > 0
+
+
+def test_walks_read_the_running_sums_the_measure_caches():
+    system = load_system(inputs.phil_file(5))
+    measure = uniform_measure(system)
+    assert "running_sums" not in vars(measure)  # nothing is built before a walk
+    sample_mcsc(measure, system.base_state, 60, seed=1)
+    firsts, rows = measure.running_sums
+    sample_mcsc(measure, system.base_state, 60, seed=2)
+    assert measure.running_sums[1] is rows  # one build serves both walks
+    # the sums are the row-order float additions of the tables, bit for bit
+    assert [[x.hex() for x in row] for row in rows] == [
+        [float(x).hex() for x in accumulate(row)] for row in measure.transition
+    ]
+    assert [[x.hex() for x in row] for row in firsts] == [
+        [float(x).hex() for x in accumulate(row[1:])] for row in measure.h
+    ]
+    assert all(type(x) is float for row in rows for x in row)
+
+
+def test_a_walk_past_one_chunk_equals_the_dense_draw(reference_systems):
+    # 2,100 steps read three chunks of floats: 1,024, 1,024 and 52 words
+    for name in ("aztec", "phil5", "path10"):
+        measure = uniform_measure(reference_systems[name])
+        start = measure.system.base_state
+        for seed in range(2):
+            want = _dense_mcsc_nodes(measure, start, 2100, seed)
+            assert sample_mcsc(measure, start, 2100, seed).nodes == want, (name, seed)
 
 
 def test_mcsc_walks_equal_the_dense_draw(reference_systems):
@@ -395,13 +455,13 @@ def test_uniform_finite_exactness_4sigma(e1):
 
 
 def test_table_bound_covers_the_held_table():
-    # path10 at L = 400 holds about 5 MB of counts; the running bound the
+    # path10 at L = 1,200 holds about 6 MB of counts; the running bound the
     # cap is checked against must not fall below what tracemalloc measures
     system = load_system(inputs.path_file(10))
     UniformExecutionSampler(system, system.base_state, 1)  # the dsc and its lazy parts
     tracemalloc.start()
     try:
-        sampler = UniformExecutionSampler(system, system.base_state, 400)
+        sampler = UniformExecutionSampler(system, system.base_state, 1200)
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -439,12 +499,14 @@ COUNT_LENGTH = 40
 
 def _assert_counts_equal_the_adsc_paths(system, length):
     """For every start and every m <= length: the sampler's counts F[m] equal
-    the adsc path counts at each dsc node's first triple, and its total
-    their sum over the start's nodes; EmptySet exactly where that sum is 0."""
+    the adsc path counts at each dsc node's first triple, and the counts of
+    the build with one sum per node; its total is their sum over the
+    start's nodes; EmptySet exactly where that sum is 0."""
     adsc = build_adsc(build_dsc(system))
     paths = paths_by_first_letter(adsc, length)
     heads = [k for k, (_s, _c, i) in enumerate(adsc.nodes) if i == 1]  # in dsc order
     want_counts = [[row[k] for k in heads] for row in paths]
+    assert per_node_counts(system, length) == want_counts
     for start in system.states:
         firsts = [k for k in heads if adsc.nodes[k][0] == start]
         for m in range(length + 1):
@@ -473,6 +535,19 @@ def test_counts_equal_the_adsc_paths_on_random_cycle_nets(text):
 @given(system=random_systems())
 def test_counts_equal_the_adsc_paths_on_random_systems(system):
     _assert_counts_equal_the_adsc_paths(system, 12)
+
+
+def test_nodes_with_equal_terms_share_one_count():
+    # path10: 143 dsc nodes in 23 classes of equal term lists; a row holds
+    # one int object per class, so the table holds about a sixth of the ints
+    system = load_system(inputs.path_file(10))
+    terms = count_terms(system)
+    classes = len({tuple(sorted(idx)) for idx in terms})
+    assert (len(terms), classes) == (143, 23)
+    sampler = UniformExecutionSampler(system, system.base_state, 200)
+    assert sampler._counts == per_node_counts(system, 200)
+    for row in sampler._counts:
+        assert len({id(x) for x in row}) <= classes
 
 
 def test_sampled_words_replay(aztec):
