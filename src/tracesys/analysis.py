@@ -21,7 +21,6 @@ from .errors import NoRootInUnitInterval, NotAccessible, NotIrreducible, Trivial
 from .graphs import StateCliqueGraph, build_adsc, build_dsc, count_paths_table
 from .measure import UniformMeasure, UniquenessReport
 from .spectral import (
-    DEFAULT_PRECISION,
     CharacteristicRoot,
     InversionReport,
     PolynomialMatrix,
@@ -37,17 +36,16 @@ from .system import ConcurrentSystem
 class Analysis:
     """Derived quantities of one system, each filled in on first use.
 
-    The root depends on the isolation precision and is kept per precision;
-    the measure is built from a root at least as tight as the default,
-    because its float kernel needs a tight root.  Everything else is
-    precision-free.  Every object handed out is shared by all callers and
-    must be treated as read-only.
+    One root, isolated to ``DEFAULT_PRECISION``, and one measure built from
+    it; a root printed at another width is isolated from :attr:`theta` by
+    its caller.  Every object handed out is shared by all callers and must
+    be treated as read-only: roots are immutable, and comparisons refine copies.
     """
 
     def __init__(self, system: ConcurrentSystem):
         self.system = system
-        self._roots: dict[Fraction, CharacteristicRoot] = {}
-        self._measures: dict[Fraction, UniformMeasure] = {}
+        self._root: CharacteristicRoot | None = None
+        self._measure: UniformMeasure | None = None
 
     @classmethod
     def of(cls, system: ConcurrentSystem) -> "Analysis":
@@ -82,22 +80,20 @@ class Analysis:
         system = self.system
         return {a: determinant(mobius_matrix(system, without=a)) for a in system.monoid.letters}
 
-    def root(self, precision: Fraction = DEFAULT_PRECISION) -> CharacteristicRoot:
+    def root(self) -> CharacteristicRoot:
         """Smallest root of theta in (0, 1], for a non-trivial accessible system."""
-        root = self._roots.get(precision)
-        if root is None:
+        if self._root is None:
             cls = self.system.classify()
             if cls.trivial:
                 raise TrivialSystem("trivial system has no characteristic root in (0, 1]")
             if not cls.accessible:
                 raise NotAccessible("characteristic root requires an accessible system")
-            root = root_from_theta(self.theta, precision)
-            if root is None:
+            self._root = root_from_theta(self.theta)
+            if self._root is None:
                 raise NoRootInUnitInterval(
                     "no root in (0, 1]; hypotheses violated for this system"
                 )
-            self._roots[precision] = root
-        return root
+        return self._root
 
     # ------------------------------------------------------------ graphs
 
@@ -121,27 +117,22 @@ class Analysis:
 
     # ------------------------------------------------------------ measure
 
-    def measure(self, precision: Fraction = DEFAULT_PRECISION) -> UniformMeasure:
-        """The unique uniform measure of an irreducible system."""
-        precision = min(precision, DEFAULT_PRECISION)
-        m = self._measures.get(precision)
-        if m is None:
+    def measure(self) -> UniformMeasure:
+        """The unique uniform measure of an irreducible system, from :meth:`root`."""
+        if self._measure is None:
             if not self.system.classify().irreducible:
                 raise NotIrreducible(
                     "the uniform measure is only unique for irreducible systems"
                 )
-            m = measure_mod.uniform_measure(
-                self.system, self.mobius, self.root(precision), self.dsc
+            self._measure = measure_mod.uniform_measure(
+                self.system, self.mobius, self.root(), self.dsc
             )
-            self._measures[precision] = m
-        return m
+        return self._measure
 
 
-def characteristic_root(
-    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
-) -> CharacteristicRoot:
+def characteristic_root(system: ConcurrentSystem) -> CharacteristicRoot:
     """Common convergence radius of the growth series: :meth:`Analysis.root`."""
-    return Analysis.of(system).root(precision)
+    return Analysis.of(system).root()
 
 
 def growth_eval(
@@ -163,20 +154,15 @@ def verify_inversion(system: ConcurrentSystem, order: int) -> InversionReport:
     return spectral.verify_inversion(analysis.mobius, tables, order)
 
 
-def spectral_property_report(
-    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
-) -> SpectralPropertyReport:
-    """Per-letter restricted roots and the strict-growth verdict."""
+def spectral_property_report(system: ConcurrentSystem) -> SpectralPropertyReport:
+    """Per-letter restricted roots and the strict-growth verdict, at :meth:`Analysis.root`."""
     analysis = Analysis.of(system)
-    root = analysis.root(precision)
-    return spectral.spectral_property_report(root, analysis.restricted_theta, precision)
+    return spectral.spectral_property_report(analysis.root(), analysis.restricted_theta)
 
 
-def uniform_measure(
-    system: ConcurrentSystem, precision: Fraction = DEFAULT_PRECISION
-) -> UniformMeasure:
+def uniform_measure(system: ConcurrentSystem) -> UniformMeasure:
     """The unique uniform measure of an irreducible system: :meth:`Analysis.measure`."""
-    return Analysis.of(system).measure(precision)
+    return Analysis.of(system).measure()
 
 
 def uniqueness_diagnostics(measure: UniformMeasure) -> UniquenessReport:

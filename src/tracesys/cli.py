@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full combinatorial and measure analysis")
     _add_input_args(p)
     p.add_argument(
-        "--precision", type=_positive_fraction, default="1e-12", help="root interval width"
+        "--precision", type=_positive_fraction, default="1e-12", help="printed root interval width"
     )
     p.add_argument("--series-order", type=_non_negative_int, default=10)
     p.add_argument("--expect-irreducible", action="store_true")

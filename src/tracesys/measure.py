@@ -163,6 +163,8 @@ def mcsc_tables(h: Rows, dsc: StateCliqueGraph) -> tuple[tuple[float, ...], Rows
     """
     hv = _at_nodes(h)
     rows = [tuple(hv[w] for w in out) for out in dsc.succ]
+    # the report's g relies on np.float64 entries, which ``sum`` adds left to
+    # right; on Python 3.12+ a sum over plain floats is compensated
     g = tuple(map(sum, rows))
     transition = tuple(
         tuple(x / gv for x in row) if positive else row
@@ -221,6 +223,8 @@ class UniformMeasure:
         ratio = self.u[None, :] / self.u[:, None]  # ratio[i, j] = Gamma(i, j)
         for row in ratio:
             res["cocycle"] = max(res["cocycle"], np.abs(row[None, :] - row[:, None] * ratio).max())
+        # the report's h_sum relies on np.float64 entries, which ``sum`` adds left
+        # to right; on Python 3.12+ a sum over plain floats is compensated
         for row in self.h:
             res["h_empty"] = max(res["h_empty"], abs(row[0]))
             res["h_nonneg"] = max(res["h_nonneg"], max(-x for x in row))
@@ -322,7 +326,8 @@ def uniqueness_diagnostics(
         ]
     )
     positive = [v for v, pos in enumerate(labels) if pos]
-    # the float sums run in ``succ`` order: the report's bytes depend on it
+    # the report's bytes rely on np.float64 items, which ``sum`` adds left to
+    # right in ``succ`` order; on Python 3.12+ a sum over plain floats is compensated
     fu = np.array([sum(vec[w] for w in adsc.succ[v] if labels[w]) for v in positive])
     residual = float(np.abs(fu - vec[positive] / r).max())
 

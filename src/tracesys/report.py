@@ -111,8 +111,11 @@ def analyze_report(
         ),
     }
 
+    # ``precision`` is only the printed roots' width; the measure uses the analysis root
     try:
-        root = analysis.root(precision)
+        root = analysis.root()
+        if precision != spectral.DEFAULT_PRECISION:
+            root = spectral.root_from_theta(analysis.theta, precision)
         doc["root"] = root_json(root)
     except TraceSysError as exc:
         root = None
@@ -120,7 +123,7 @@ def analyze_report(
         doc["root_error"] = str(exc)
 
     if root is not None:
-        prop = analysis_mod.spectral_property_report(system, precision)
+        prop = spectral.spectral_property_report(root, analysis.restricted_theta, precision)
         doc["spectral_property"] = {
             "holds": prop.holds,
             "witness": prop.witness,
@@ -136,7 +139,7 @@ def analyze_report(
         doc["spectral_property"] = None
 
     if classification["irreducible"]:
-        m = analysis.measure(precision)
+        m = analysis.measure()
         null_check = measure_mod.numeric_null_check(m)
         uniq = analysis_mod.uniqueness_diagnostics(m)
         nodes = [f"({s},{_clique_key(c)})" for s, c in m.dsc.nodes]

@@ -424,7 +424,9 @@ class SpectralPropertyReport:
 
 
 def spectral_property_report(
-    root: CharacteristicRoot, restricted: dict[str, poly.Poly], precision: Fraction
+    root: CharacteristicRoot,
+    restricted: dict[str, poly.Poly],
+    precision: Fraction = DEFAULT_PRECISION,
 ) -> SpectralPropertyReport:
     """Per-letter restricted roots and the strict-growth verdict.
 

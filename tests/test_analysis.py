@@ -151,15 +151,23 @@ def test_sampler_holds_its_analysis(monkeypatch):
     assert measure.dsc is sampler._analysis.dsc
 
 
-def test_root_and_measure_kept_per_precision():
-    # the measure is built from a root at least as tight as the default
-    a = Analysis(fixtures.aztec_system())
-    coarse, fine = Fraction(1, 1000), Fraction(1, 10**20)
-    assert a.root(coarse) is a.root(coarse)
-    assert a.root(coarse).width > DEFAULT_PRECISION
-    assert a.measure(coarse) is a.measure()
-    assert a.measure().root is a.root()
-    assert a.measure(fine).root is a.root(fine)
+def test_one_root_and_one_measure_per_analysis():
+    # the root is isolated once, at the default width, and the measure is
+    # built from it; a report at another width isolates its own printed root
+    system = fixtures.aztec_system()
+    a = Analysis.of(system)
+    root = a.root()
+    bounds = (root.lo, root.hi)
+    assert root is a.root()
+    assert root.width <= DEFAULT_PRECISION
+    assert a.measure() is a.measure()
+    assert a.measure().root is root
+    fine = Fraction(1, 10**20)
+    doc = analyze_report(system, precision=fine)
+    assert Fraction(doc["root"]["width"]) <= fine < root.width
+    # the letter comparisons refine copies: the shared root never moves
+    assert a.root() is root and (root.lo, root.hi) == bounds
+    assert a.measure().root is root
 
 
 def _entry_point_calls(system):

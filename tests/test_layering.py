@@ -33,15 +33,12 @@ LAYERS = (
 RANK = {m: i for i, layer in enumerate(LAYERS) for m in layer}
 
 ENTRY_POINTS = {
-    "characteristic_root": "(system: 'ConcurrentSystem', precision: 'Fraction' = "
-    "Fraction(1, 1000000000000)) -> 'CharacteristicRoot'",
+    "characteristic_root": "(system: 'ConcurrentSystem') -> 'CharacteristicRoot'",
     "growth_eval": "(system: 'ConcurrentSystem', t: 'Fraction | int', "
     "root: 'CharacteristicRoot | None' = None) -> 'list[list[Fraction]]'",
     "verify_inversion": "(system: 'ConcurrentSystem', order: 'int') -> 'InversionReport'",
-    "spectral_property_report": "(system: 'ConcurrentSystem', precision: 'Fraction' = "
-    "Fraction(1, 1000000000000)) -> 'SpectralPropertyReport'",
-    "uniform_measure": "(system: 'ConcurrentSystem', precision: 'Fraction' = "
-    "Fraction(1, 1000000000000)) -> 'UniformMeasure'",
+    "spectral_property_report": "(system: 'ConcurrentSystem') -> 'SpectralPropertyReport'",
+    "uniform_measure": "(system: 'ConcurrentSystem') -> 'UniformMeasure'",
     "uniqueness_diagnostics": "(measure: 'UniformMeasure') -> 'UniquenessReport'",
 }
 

@@ -12,17 +12,22 @@ from hypothesis import strategies as st
 from references import paths_by_first_letter
 from test_petri import cycle_nets
 
+from tracesys import measure as measure_mod
 from tracesys.analysis import Analysis, uniform_measure, uniqueness_diagnostics
 
 from tracesys.errors import (
     ClassificationMismatch,
+    CrossCheckFailure,
     KernelDimensionNotOne,
+    NonPositiveKernelVector,
     NotIrreducible,
 )
 from tracesys.fixtures import ALL_SYSTEMS
 from tracesys.graphs import StateCliqueGraph
 from tracesys.measure import (
+    KERNEL_RTOL,
     ZERO_THRESHOLD,
+    _kernel_vector_full_pivot,
     _null_reachability,
     numeric_null_check,
     kernel_cocycle,
@@ -90,6 +95,45 @@ def test_cocycle_kernel_dimension_error(e1):
     )
     with pytest.raises(KernelDimensionNotOne):
         kernel_cocycle(e1, mobius_matrix(e1), bogus)
+
+
+def test_kernel_rank_decided_at_kernel_rtol():
+    # a pivot at most KERNEL_RTOL (relative to the largest entry, floored at
+    # 1) counts as zero
+    assert list(_kernel_vector_full_pivot(np.diag([1.0, KERNEL_RTOL / 10]))) == [0.0, 1.0]
+    with pytest.raises(KernelDimensionNotOne):
+        _kernel_vector_full_pivot(np.diag([1.0, KERNEL_RTOL * 10]))
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [([1e-13, 1.0], "vanishes at the base state"), ([1.0, -1.0], "non-positive entries")],
+)
+def test_cocycle_rejects_a_non_positive_kernel_vector(e1, vector, message, monkeypatch):
+    # e1's base state is s0, the first entry
+    monkeypatch.setattr(measure_mod, "_kernel_vector_full_pivot", lambda m: np.array(vector))
+    with pytest.raises(NonPositiveKernelVector, match=message):
+        kernel_cocycle(e1, mobius_matrix(e1), Analysis(e1).root())
+
+
+@pytest.mark.parametrize("skew", [1e-4, 1e-2])
+def test_cocycle_crosscheck_fails_above_1e_3(e1, skew, monkeypatch):
+    # skewing the growth row sum of s0 by ``skew`` moves the ratios, which
+    # are 1 on e1, by about ``skew``: the cross-check fails above 1e-3
+    real = measure_mod.growth_eval
+
+    def skewed(pm, t, root, b):
+        (first, *rest) = real(pm, t, root, b)
+        return [[first[0] * (1 + Fraction(skew))], *rest]
+
+    monkeypatch.setattr(measure_mod, "growth_eval", skewed)
+    root = Analysis(e1).root()
+    if skew > 1e-3:
+        with pytest.raises(CrossCheckFailure):
+            kernel_cocycle(e1, mobius_matrix(e1), root)
+    else:
+        _u, err = kernel_cocycle(e1, mobius_matrix(e1), root)
+        assert skew / 2 < err < 1e-3
 
 
 def test_measure_requires_irreducible():
@@ -547,6 +591,21 @@ def test_twelve_has_two_basic_terminal(twelve_measure):
     rep = uniqueness_diagnostics(twelve_measure)
     assert len(rep.basic_components) == 2
     assert len(rep.terminal_components) == 2
+
+
+def test_uniqueness_not_ok_past_the_eigen_residual_tolerance(aztec_measure, monkeypatch):
+    # h scaled at one positive node breaks the eigenvector equation and
+    # nothing else, so the residual alone turns ok false
+    rows = [list(row) for row in aztec_measure.h]
+    k = next(k for k, x in enumerate(rows[0]) if k and x > 0.01)
+    rows[0][k] *= 1.01
+    tampered = replace(aztec_measure, h=tuple(map(tuple, rows)))
+    rep = uniqueness_diagnostics(tampered)
+    assert rep.eigen_residual > measure_mod.EIGEN_RESIDUAL_TOL
+    assert rep.basic_equals_terminal and rep.null_reachability_ok
+    assert not rep.ok
+    monkeypatch.setattr(measure_mod, "EIGEN_RESIDUAL_TOL", rep.eigen_residual)
+    assert uniqueness_diagnostics(tampered).ok
 
 
 def _reference_marks(adsc, flags):

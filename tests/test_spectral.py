@@ -299,6 +299,18 @@ def test_compare_roots_orders():
     assert cmp == 0
 
 
+def test_compare_roots_gives_up_after_max_rounds(monkeypatch):
+    # (3-sqrt5)/2 ~ 0.382 and (7-sqrt33)/4 ~ 0.314 both start in (0, 1/2]
+    # and separate in the third round
+    golden = root_from_theta((1, -3, 1), Fraction(1, 2))
+    other = root_from_theta((2, -7, 2), Fraction(1, 2))
+    monkeypatch.setattr(spectral, "COMPARE_MAX_ROUNDS", 2)
+    with pytest.raises(TraceSysError, match="did not separate"):
+        compare_roots(golden, other)
+    monkeypatch.setattr(spectral, "COMPARE_MAX_ROUNDS", 3)
+    assert compare_roots(golden, other)[0] == 1
+
+
 PRECISIONS = (Fraction(1, 1000), Fraction(1, 10**12), Fraction(1, 10**30))
 
 
