@@ -8,16 +8,18 @@ f and h hold one row per state, aligned with ``system.moves``; g one value
 per dsc node, and the chain one row per dsc node, aligned with ``dsc.succ``.
 The chain's dead rows are those of the dsc's null nodes, which graph
 reachability labels exactly.  Only the report pads f and h with 0.0 and
-spreads the chain into a dense matrix.  All numerics are double precision
-on top of the exactly isolated root.
+spreads the chain into a dense matrix.  All numerics are Python floats on
+top of the exactly isolated root; numpy computes only the float kernel and
+the cocycle residual.  Every reported float sum is :func:`_fold`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -37,6 +39,11 @@ KERNEL_RTOL = 1e-9  # pivots below this, relative to the largest entry, count as
 EIGEN_RESIDUAL_TOL = 1e-6  # largest eigenvector residual uniqueness accepts
 
 Rows = tuple[tuple[float, ...], ...]  # per state along ``system.moves``, or per node along ``succ``
+
+
+def _fold(xs) -> float:
+    """``xs`` added left to right from 0.0; Python 3.12's ``sum`` compensates floats."""
+    return reduce(add, xs, 0.0)
 
 
 # ---------------------------------------------------------------- kernel
@@ -80,7 +87,7 @@ def _kernel_vector_full_pivot(m: np.ndarray) -> np.ndarray:
 
 def kernel_cocycle(
     system: ConcurrentSystem, pm: PolynomialMatrix, root: CharacteristicRoot
-) -> tuple[np.ndarray, float]:
+) -> tuple[tuple[float, ...], float]:
     """Positive kernel vector of the matrix at the root, base-normalized.
 
     The cocycle is Gamma(a, b) = u_b / u_a.  Cross-checked against the
@@ -95,6 +102,7 @@ def kernel_cocycle(
     u = u / u[base]
     if not (u > 0).all():
         raise NonPositiveKernelVector(f"kernel vector has non-positive entries: {u}")
+    u = tuple(u.tolist())
 
     t = mid * (1 - Fraction(1, 10**6))
     row_sums = [float(v) for (v,) in growth_eval(pm, t, root, [[1]] * pm.dim)]
@@ -110,7 +118,7 @@ def kernel_cocycle(
 # ---------------------------------------------------------------- tables
 
 def fibred_valuation(
-    system: ConcurrentSystem, root: CharacteristicRoot, u: np.ndarray
+    system: ConcurrentSystem, root: CharacteristicRoot, u: tuple[float, ...]
 ) -> Rows:
     """f_a(c) = r^{|c|} Gamma(a, a.c) on the pairs of ``system.moves``."""
     r = root.approx
@@ -163,9 +171,7 @@ def mcsc_tables(h: Rows, dsc: StateCliqueGraph) -> tuple[tuple[float, ...], Rows
     """
     hv = _at_nodes(h)
     rows = [tuple(hv[w] for w in out) for out in dsc.succ]
-    # the report's g relies on np.float64 entries, which ``sum`` adds left to
-    # right; on Python 3.12+ a sum over plain floats is compensated
-    g = tuple(map(sum, rows))
+    g = tuple(map(_fold, rows))
     transition = tuple(
         tuple(x / gv for x in row) if positive else row
         for row, gv, positive in zip(rows, g, dsc.labels)
@@ -181,14 +187,14 @@ class UniformMeasure:
     ``h[i][k]`` belong to the k-th pair of ``system.moves[i]`` (k = 0 is the
     empty clique), ``g[v]`` to dsc node v, and ``transition[v][k]`` to the
     arc from v to ``dsc.succ[v][k]``.  The row of v is a probability vector
-    exactly when ``dsc.labels[v]`` is positive.  The chain walk's running
-    sums (:attr:`running_sums`) are filled on the first walk and held with
-    the measure."""
+    exactly when ``dsc.labels[v]`` is positive.  ``u`` and every table hold
+    Python floats.  The chain walk's running sums (:attr:`running_sums`)
+    are filled on the first walk and held with the measure."""
 
     system: ConcurrentSystem
     root: CharacteristicRoot
     dsc: StateCliqueGraph  # labels filled
-    u: np.ndarray  # cocycle vector Gamma(base, .)
+    u: tuple[float, ...]  # cocycle vector Gamma(base, .)
     f: Rows
     h: Rows
     g: tuple[float, ...]
@@ -198,12 +204,12 @@ class UniformMeasure:
     @cached_property
     def running_sums(self) -> tuple[Rows, Rows]:
         """The running sums of each state's first-clique law (``h[i][1:]``)
-        and of each transition row, as Python floats.  ``accumulate`` adds
-        left to right on every Python, so each sum has the bits of the
-        float additions in row order."""
+        and of each transition row.  ``accumulate`` adds left to right on
+        every Python, so each sum has the bits of the float additions in
+        row order, as :func:`_fold` does."""
         return (
-            tuple(tuple(map(float, accumulate(row[1:]))) for row in self.h),
-            tuple(tuple(map(float, accumulate(row))) for row in self.transition),
+            tuple(tuple(accumulate(row[1:])) for row in self.h),
+            tuple(tuple(accumulate(row)) for row in self.transition),
         )
 
     @property
@@ -211,24 +217,19 @@ class UniformMeasure:
         return self.root.approx
 
     def gamma(self, a: str, b: str) -> float:
-        return float(
-            self.u[self.system.state_index(b)] / self.u[self.system.state_index(a)]
-        )
+        return self.u[self.system.state_index(b)] / self.u[self.system.state_index(a)]
 
     def identity_residuals(self) -> dict[str, float]:
         """Worst-case violations of the defining identities (for validation)."""
-        res = {"cocycle": 0.0, "h_empty": 0.0, "h_nonneg": 0.0, "h_sum": 0.0,
-               "h_eq_fg": 0.0}
         # max |Gamma(i, k) - Gamma(i, j) Gamma(j, k)|, one n×n slab per i
-        ratio = self.u[None, :] / self.u[:, None]  # ratio[i, j] = Gamma(i, j)
-        for row in ratio:
-            res["cocycle"] = max(res["cocycle"], np.abs(row[None, :] - row[:, None] * ratio).max())
-        # the report's h_sum relies on np.float64 entries, which ``sum`` adds left
-        # to right; on Python 3.12+ a sum over plain floats is compensated
+        u = np.array(self.u)
+        ratio = u[None, :] / u[:, None]  # ratio[i, j] = Gamma(i, j)
+        cocycle = float(max(np.abs(row - row[:, None] * ratio).max() for row in ratio))
+        res = {"cocycle": cocycle, "h_empty": 0.0, "h_nonneg": 0.0, "h_sum": 0.0, "h_eq_fg": 0.0}
         for row in self.h:
             res["h_empty"] = max(res["h_empty"], abs(row[0]))
             res["h_nonneg"] = max(res["h_nonneg"], max(-x for x in row))
-            res["h_sum"] = max(res["h_sum"], abs(sum(row[1:]) - 1.0))
+            res["h_sum"] = max(res["h_sum"], abs(_fold(row[1:]) - 1.0))
         for h, f, g in zip(_at_nodes(self.h), _at_nodes(self.f), self.g):
             res["h_eq_fg"] = max(res["h_eq_fg"], abs(h - f * g))
         return res
@@ -317,19 +318,16 @@ def uniqueness_diagnostics(
     labels = adsc.labels
     base = u[system.state_index(system.base_state)]
     # the adsc unfolds the dsc nodes, which follow ``system.moves``
-    vec = np.array(
-        [
-            float(u[k] / base) * x / r ** (i - 1)
-            for k, (moves, row) in enumerate(zip(system.moves, measure.h))
-            for (c, _t), x in zip(moves[1:], row[1:])
-            for i in range(1, c.size + 1)
-        ]
+    vec = [
+        u[k] / base * x / r ** (i - 1)
+        for k, (moves, row) in enumerate(zip(system.moves, measure.h))
+        for (c, _t), x in zip(moves[1:], row[1:])
+        for i in range(1, c.size + 1)
+    ]
+    residual = max(
+        abs(_fold(vec[w] for w in adsc.succ[v] if labels[w]) - vec[v] / r)
+        for v, pos in enumerate(labels) if pos
     )
-    positive = [v for v, pos in enumerate(labels) if pos]
-    # the report's bytes rely on np.float64 items, which ``sum`` adds left to
-    # right in ``succ`` order; on Python 3.12+ a sum over plain floats is compensated
-    fu = np.array([sum(vec[w] for w in adsc.succ[v] if labels[w]) for v in positive])
-    residual = float(np.abs(fu - vec[positive] / r).max())
 
     comps, terminal_flags = adsc.positive_components()
     positive_basic = basic_flags([adsc_radii[ci] for ci in comps])

@@ -41,7 +41,7 @@ def _table_json(system: ConcurrentSystem, rows) -> dict:
     every clique of the monoid by name, 0.0 at those not enabled."""
     zeros = dict.fromkeys(map(_clique_key, system.monoid.cliques()), 0.0)
     return {
-        s: {**zeros, **{_clique_key(c): float(v) for (c, _t), v in zip(moves, row)}}
+        s: {**zeros, **{_clique_key(c): v for (c, _t), v in zip(moves, row)}}
         for s, moves, row in zip(system.states, system.moves, rows)
     }
 
@@ -151,15 +151,15 @@ def analyze_report(
         doc["uniform_measure"] = {
             "gamma": {
                 "base": system.base_state,
-                "vector": {s: float(m.u[i]) for i, s in enumerate(system.states)},
+                "vector": dict(zip(system.states, m.u)),
             },
             "f": _table_json(system, m.f),
             "h": _table_json(system, m.h),
-            "g": {v: float(x) for v, x in zip(nodes, m.g)},
+            "g": dict(zip(nodes, m.g)),
             "mcsc": {
                 "nodes": nodes,
                 "initial": {  # h without the empty clique
-                    s: {_clique_key(c): float(v) for (c, _t), v in zip(moves[1:], row[1:])}
+                    s: {_clique_key(c): v for (c, _t), v in zip(moves[1:], row[1:])}
                     for s, moves, row in zip(system.states, system.moves, m.h)
                 },
                 "matrix": chain.tolist(),
@@ -167,7 +167,7 @@ def analyze_report(
             },
             "cocycle_crosscheck_error": m.cocycle_crosscheck_error,
             "identity_residuals": {
-                **{k: float(v) for k, v in m.identity_residuals().items()},
+                **m.identity_residuals(),
                 "row_sum": float(row_sum),
             },
         }
@@ -175,7 +175,7 @@ def analyze_report(
             "null_check": {
                 "null_nodes": [f"({s},{_clique_key(c)})" for s, c in null_check.null_nodes],
                 "max_null_h": null_check.max_null_h,
-                "min_positive_h": float(null_check.min_positive_h),
+                "min_positive_h": null_check.min_positive_h,
             },
             "uniqueness": {
                 "kernel_dim": uniq.kernel_dim,

@@ -27,9 +27,9 @@ _unpack_u64 = struct.Struct(">Q").unpack_from  # one big-endian word
 
 # The most bytes a uniform sampler's count table may hold.
 TABLE_CAP_BYTES = 256 << 20
-# Bytes of one held count besides its 30-bit digits after the first: a
-# list slot, the int header, the first digit and the allocator's rounding.
-_ENTRY_BYTES = 56
+# Held bytes besides 4 per 30-bit digit after an int's first: per int, per
+# list slot (a spare eighth included) and per row (its list, spare, slot).
+_INT_BYTES, _SLOT_BYTES, _ROW_BYTES = 48, 9, 128
 
 
 def _mix64(z: int) -> int:
@@ -284,14 +284,15 @@ class UniformExecutionSampler:
         hist = [0] * (2 * n * (widest - 1)) + [1] * n + [-1] * n
         get = hist.__getitem__
         counts = [[0] * len(terms)]
-        # An upper bound on the bytes that counts and hist hold: every
-        # entry of a length is at most that length's largest total.
-        entries, held = len(terms) + 2 * n, 0
+        # An upper bound on the bytes counts and hist hold: a length adds an int
+        # per class and 2n to hist, none wider than its largest total, and a row.
+        ints, held = len(classes) + 2 * n, 0
+        fixed = (len(terms) + 2 * n) * _SLOT_BYTES + _ROW_BYTES
         for m in range(1, length + 1):
             vals = [sum(map(get, idx)) for idx in classes]
             row = list(map(vals.__getitem__, cls))
             totals = [sum(row[a:b]) for a, b in zip(spans, spans[1:])]
-            held += entries * (_ENTRY_BYTES + 4 * (max(totals).bit_length() // 30))
+            held += ints * (_INT_BYTES + 4 * (max(totals).bit_length() // 30)) + fixed
             if held > TABLE_CAP_BYTES:
                 raise CapExceeded(
                     f"the uniform sampler's count table passes the "

@@ -188,3 +188,45 @@ def test_sampling_walks_the_chain_without_numpy():
     # the chain is held as rows over the arcs; only the report spreads it
     # into a dense matrix
     assert "numpy" not in _external_imports("sampling")
+
+
+# numpy stays where its own arithmetic fixes report bits (the float kernel,
+# the cocycle residual, the power iteration, the report's dense chain and
+# its row sums); the measure between them is held in Python floats
+NUMPY_SCOPES = {
+    "spectral._power_radius",
+    "measure._kernel_vector_full_pivot",
+    "measure.kernel_cocycle",
+    "measure.UniformMeasure.identity_residuals",
+    "report.analyze_report",
+}
+
+
+def _scopes_naming(tree: ast.Module, name: str) -> set[str]:
+    """The innermost def or class around each use of ``name``, dotted from
+    the module; a use outside any gives ''."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_numpy_is_named_only_by_the_listed_functions():
+    named = {f"{m}.{scope}" for m in MODULES for scope in _scopes_naming(_tree(m), "np")}
+    assert named == NUMPY_SCOPES
+    # and numpy enters only under that name
+    for m in MODULES:
+        for node in _imports(_tree(m)):
+            if isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "numpy", m
+            else:
+                assert all(a.asname == "np" for a in node.names if a.name == "numpy"), m

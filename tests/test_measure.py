@@ -190,13 +190,48 @@ def test_g_table_e1(e1_measure):
 @pytest.mark.parametrize("file", [inputs.phil_file(5), inputs.path_file(8)], ids=lambda f: f.name)
 def test_g_adds_the_successor_masses_left_to_right(file):
     # From Python 3.12 the builtin sum of Python floats is compensated, so
-    # tables held as Python floats and summed by it would change bits there;
-    # g must stay the plain left-to-right sum of h over ``succ``.
+    # the tables, held as Python floats, would change bits there if summed
+    # by it; g must stay the plain left-to-right sum of h over ``succ``.
     m = uniform_measure(load_system(file))
-    hv = [float(x) for row in m.h for x in row[1:]]  # h at the dsc nodes
+    hv = [x for row in m.h for x in row[1:]]  # h at the dsc nodes
     for v, out in enumerate(m.dsc.succ):
         want = functools.reduce(operator.add, (hv[w] for w in out), 0.0)
-        assert float(m.g[v]).hex() == want.hex(), v
+        assert m.g[v].hex() == want.hex(), v
+
+
+@pytest.mark.parametrize("file", [inputs.phil_file(5), inputs.path_file(8)], ids=lambda f: f.name)
+def test_h_sum_and_eigen_residual_are_left_folds(file):
+    # the two other float sums that reach the report: each row of h, and the
+    # positive successors of each positive adsc node in ``succ`` order
+    analysis = Analysis.of(load_system(file))
+    m, adsc = analysis.measure(), analysis.adsc
+    fold = functools.partial(functools.reduce, operator.add)
+    h_sum = max(abs(fold(row[1:], 0.0) - 1.0) for row in m.h)
+    assert m.identity_residuals()["h_sum"].hex() == h_sum.hex()
+    vec = [
+        m.u[k] * x / m.r ** (i - 1)
+        for k, (moves, row) in enumerate(zip(m.system.moves, m.h))
+        for (c, _t), x in zip(moves[1:], row[1:])
+        for i in range(1, c.size + 1)
+    ]
+    pos = adsc.labels
+    residual = max(
+        abs(fold((vec[w] for w in adsc.succ[v] if pos[w]), 0.0) - vec[v] / m.r)
+        for v in range(len(vec)) if pos[v]
+    )
+    assert uniqueness_diagnostics(m).eigen_residual.hex() == residual.hex()
+
+
+@pytest.mark.parametrize("name", [*ALL_SYSTEMS, "phil4", "path8"])
+def test_the_measure_holds_python_floats(name):
+    files = {"phil4": inputs.phil_file(4), "path8": inputs.path_file(8)}
+    m = uniform_measure(load_system(files[name]) if name in files else ALL_SYSTEMS[name]())
+    firsts, rows = m.running_sums
+    tables = {"u": (m.u,), "f": m.f, "h": m.h, "g": (m.g,), "transition": m.transition,
+              "first sums": firsts, "row sums": rows}
+    for name, table in tables.items():
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table), name
+        assert {type(x) for row in table for x in row} == {float}, name
 
 
 def test_mcsc_matrix_e1(e1_measure):
@@ -306,8 +341,9 @@ def _reference_tables(system, f, dsc):
             row[c] = acc
         h[s] = row
     g = {}
-    for v, (s, c) in enumerate(dsc.nodes):
-        g[(s, c)] = sum(h[dsc.nodes[w][0]][dsc.nodes[w][1]] for w in dsc.succ[v])
+    for v, (s, c) in enumerate(dsc.nodes):  # a left fold: 3.12+ compensates the builtin sum
+        succ = (h[dsc.nodes[w][0]][dsc.nodes[w][1]] for w in dsc.succ[v])
+        g[(s, c)] = functools.reduce(operator.add, succ, 0.0)
     m = np.zeros((len(dsc.nodes), len(dsc.nodes)))
     unreachable = []
     for v, (s, c) in enumerate(dsc.nodes):
@@ -329,10 +365,8 @@ def test_tables_bit_equal_to_reference(reference_systems):
         assert [
             (s, c, float.hex(v)) for s in got_h for c, v in got_h[s].items()
         ] == [(s, c, float.hex(v)) for s in h for c, v in h[s].items()], name
-        assert [
-            (k, type(v), float(v).hex()) for k, v in zip(measure.dsc.nodes, measure.g)
-        ] == [
-            (k, type(v), float(v).hex()) for k, v in g.items()
+        assert [(k, type(v), float.hex(v)) for k, v in zip(measure.dsc.nodes, measure.g)] == [
+            (k, float, float.hex(v)) for k, v in g.items()
         ], name
         assert [list(map(float.hex, row)) for row in measure.transition] == [
             list(map(float.hex, m[v, list(out)].tolist())) for v, out in enumerate(measure.dsc.succ)
@@ -422,7 +456,7 @@ def _v1_mcsc_tables(system, h, dsc):
     unreachable = []
     for v, out in enumerate(dsc.succ):
         row = [hv[w] for w in out]
-        gv = g[dsc.nodes[v]] = sum(row)
+        gv = g[dsc.nodes[v]] = functools.reduce(operator.add, row, 0.0)
         dead = gv <= ZERO_THRESHOLD
         unreachable.append(dead)
         m[v, list(out)] = row if dead else [x / gv for x in row]
@@ -506,7 +540,8 @@ def _cocycle_residual_by_triples(u):
 def test_cocycle_residual_equals_the_triple_loop(name, seed, request):
     m = request.getfixturevalue(name)
     if seed is not None:  # the same tables under a random positive cocycle vector
-        m = replace(m, u=np.random.default_rng(seed).uniform(0.01, 100.0, len(m.u)))
+        u = np.random.default_rng(seed).uniform(0.01, 100.0, len(m.u))
+        m = replace(m, u=tuple(u.tolist()))
     got = m.identity_residuals()["cocycle"]
     assert float(got).hex() == float(_cocycle_residual_by_triples(m.u)).hex()
 
